@@ -18,6 +18,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import __version__
+from ._export import write_csv
 from .bernstein import (
     BernsteinModel,
     LimitTransform,
@@ -41,6 +42,7 @@ from .speckle import AR1, SpeckleSpec, White, compose, gen_speckle
 from .texture import (
     ArrivalBudgetError,
     SimConfig,
+    _grid_length,
     sample_on_grid,
     simulate,
 )
@@ -173,7 +175,7 @@ def cmd_simulate(args, parser) -> int:
     if args.clutter:
         corr = White() if args.speckle == "white" else AR1(args.rho)
         speckle_spec = SpeckleSpec(variance=args.sigma2, correlation=corr, dt=cfg.dt)
-        n = int(np.floor(cfg.duration / cfg.dt + 1e-9)) + 1
+        n = _grid_length(cfg.duration, cfg.dt)
         rng = np.random.default_rng([seed, 0xC1])
         series = compose(path, gen_speckle(speckle_spec, n, rng), cfg.dt)
         clutter_csv = out / "clutter.csv"
@@ -336,9 +338,8 @@ def cmd_lawtable(args, parser) -> int:
                 parser.error("--nu is required for texture laws")
             law = k_texture_law(nu) if args.law == "k-texture" else gamma_texture_law(nu)
             xs = np.linspace(0.0, args.x_max, args.points)
-            print("x,pdf,cdf", file=out)
-            for x in xs:
-                print(f"{x:.17g},{law.pdf(x):.17g},{law.cdf(x):.17g}", file=out)
+            write_csv(out, ["x", "pdf", "cdf"], xs,
+                      [law.pdf(x) for x in xs], [law.cdf(x) for x in xs])
         else:
             if args.nu is None:
                 parser.error("--nu is required")
@@ -350,9 +351,8 @@ def cmd_lawtable(args, parser) -> int:
                 if args.nbar is None:
                     parser.error("--nbar is required for the negbin law")
                 pmf = lambda n: negbin_pmf(args.nu, args.nbar, n)
-            print("n,pmf", file=out)
-            for n in range(args.n_max + 1):
-                print(f"{n},{pmf(n):.17g}", file=out)
+            ns = range(args.n_max + 1)
+            write_csv(out, ["n", "pmf"], ns, [pmf(n) for n in ns])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -393,9 +393,6 @@ def make_parser() -> argparse.ArgumentParser:
                                         "gaussian-limit", "all"], default="all")
     pv.add_argument("--duration", type=float, default=1e5)
     pv.add_argument("--dt", type=float, default=0.1)
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="worker hint for independent replications (suites "
-                    "run one replication, so execution is serial)")
     pv.set_defaults(func=cmd_validate)
 
     pl = sub.add_parser("lawtable", help="emit an analytic law as CSV")

@@ -9,7 +9,6 @@ evaluated in the log domain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,6 +17,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 from scipy.stats import gamma as _gamma_dist
 
+from ._export import write_csv
 from .bernstein import BernsteinModel, LimitTransform
 from .bessel import scaled_i1
 
@@ -44,13 +44,8 @@ class TextureLaw:
 
     def export_csv(self, path, x):
         x = np.asarray(x, dtype=float)
-        p = self.pdf(x)
-        c = self.cdf(x)
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["x", "pdf", "cdf"])
-            for xi, pi, ci in zip(x, p, c):
-                w.writerow([f"{xi:.17g}", f"{pi:.17g}", f"{ci:.17g}"])
+            write_csv(f, ["x", "pdf", "cdf"], x, self.pdf(x), self.cdf(x))
 
 
 def _vectorized(fn):

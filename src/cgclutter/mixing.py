@@ -10,7 +10,6 @@ continuous mixing variable xi with transform g(z) = 1 - h((C/h1) z)/C.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,6 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from ._export import write_csv
 from .bernstein import Activity, BernsteinModel
 
 __all__ = [
@@ -131,11 +131,9 @@ class MixingLaw:
     # -- exports ----------------------------------------------------------
 
     def export_pmf_csv(self, path):
+        n = np.arange(1, len(self.pmf_table) + 1)
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["n", "p"])
-            for i, p in enumerate(self.pmf_table, start=1):
-                w.writerow([i, f"{p:.17g}"])
+            write_csv(f, ["n", "p"], n, self.pmf_table)
 
 
 def pgf_k(law: MixingLaw, u: float) -> float:

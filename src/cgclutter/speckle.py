@@ -6,7 +6,6 @@ independently of the zero-mean circular Gaussian speckle x.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -14,7 +13,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
-from .texture import TexturePath, sample_on_grid
+from ._export import write_csv
+from .texture import TexturePath, _grid_length, sample_on_grid
 
 __all__ = [
     "White",
@@ -82,10 +82,7 @@ class ClutterSeries:
 
     def export_csv(self, path):
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["t", "re", "im", "tau"])
-            for t, z, tau in zip(self.t, self.z, self.tau):
-                w.writerow([f"{t:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}", f"{tau:.17g}"])
+            write_csv(f, ["t", "re", "im", "tau"], self.t, self.z.real, self.z.imag, self.tau)
 
 
 def _white_complex(n, rng, variance):
@@ -127,7 +124,7 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
 def compose(path: TexturePath, speckle: np.ndarray, dt: float) -> ClutterSeries:
     """z_i = sqrt(tau(i dt)) * x_i with right-continuous texture evaluation."""
     n = len(speckle)
-    expected = int(np.floor(path.duration / dt + 1e-9)) + 1
+    expected = _grid_length(path.duration, dt)
     if n != expected:
         raise ValueError(
             f"speckle length {n} does not match the grid implied by dt and "

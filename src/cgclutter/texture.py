@@ -16,13 +16,13 @@ Three generation modes:
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._export import write_csv
 from .bernstein import BernsteinModel
 from .mixing import MixingLaw, continuous_mixing, sample_k
 
@@ -105,18 +105,12 @@ class TexturePath:
 
     def export_events_csv(self, path):
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["change_time", "value"])
-            for t, v in zip(self.change_times, self.values):
-                w.writerow([f"{t:.17g}", f"{v:.17g}"])
+            write_csv(f, ["change_time", "value"], self.change_times, self.values)
 
     def export_grid_csv(self, path, dt: float):
         vals = sample_on_grid(self, dt, self.duration)
         with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["t", "tau"])
-            for i, v in enumerate(vals):
-                w.writerow([f"{i * dt:.17g}", f"{v:.17g}"])
+            write_csv(f, ["t", "tau"], np.arange(len(vals)) * dt, vals)
 
 
 def poisson_arrivals(rate: float, t_end: float, rng: np.random.Generator,
@@ -243,14 +237,19 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
     return simulate_discrete_windowed(model, cfg, rng)
 
 
+def _grid_length(duration: float, dt: float) -> int:
+    """Number of grid points i*dt, i = 0 .. floor(duration/dt); the 1e-9
+    keeps a duration that is a whole number of steps from losing its end."""
+    return int(np.floor(duration / dt + 1e-9)) + 1
+
+
 def sample_on_grid(path: TexturePath, dt: float, duration: float | None = None) -> np.ndarray:
     """Right-continuous samples tau(i*dt) for i = 0 .. floor(duration/dt)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if duration is None:
         duration = path.duration
-    n = int(np.floor(duration / dt + 1e-9)) + 1
-    t = np.arange(n) * dt
+    t = np.arange(_grid_length(duration, dt)) * dt
     idx = np.searchsorted(path.change_times, t, side="right") - 1
     idx = np.clip(idx, 0, len(path.values) - 1)
     return path.values[idx]
