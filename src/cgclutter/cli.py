@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -17,35 +16,14 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import __version__
+from . import __version__, validation
 from ._export import write_csv
-from .bernstein import (
-    BernsteinModel,
-    LimitTransform,
-    check_bernstein,
-    from_lst,
-    make_builtin_finite,
-    make_builtin_infinite,
-)
-from .estimators import ks_distance, summarize
-from .laws import (
-    gamma_texture_law,
-    gaussian_limit_distance,
-    k_texture_law,
-    lst_moments,
-    negbin_pmf,
-    polya_aeppli_pmf,
-    texture_cov,
-)
-from .mixing import MixingLaw, mean_k, pgf_k, pmf_k
+from .bernstein import (BernsteinModel, check_bernstein, from_lst, make_builtin_finite,
+                        make_builtin_infinite)
+from .estimators import summarize
+from .laws import gamma_texture_law, k_texture_law, negbin_pmf, polya_aeppli_pmf
 from .speckle import AR1, SpeckleSpec, White, compose, gen_speckle
-from .texture import (
-    ArrivalBudgetError,
-    SimConfig,
-    _grid_length,
-    sample_on_grid,
-    simulate,
-)
+from .texture import ArrivalBudgetError, SimConfig, _grid_length, sample_on_grid, simulate
 
 CHECK_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -112,14 +90,43 @@ def _load_lst_table(path):
     return G
 
 
-def _build_model(args, nu) -> BernsteinModel:
+def _checked_model(args, nu) -> BernsteinModel:
+    """The model the flags name, once its Bernstein side conditions hold.
+
+    Raises ValueError otherwise, which the commands report as exit 3.
+    """
     if args.model == "finite-k":
-        return make_builtin_finite()
-    if args.model == "infinite-gamma":
-        return make_builtin_infinite()
-    if not args.lst_file:
+        model = make_builtin_finite()
+    elif args.model == "infinite-gamma":
+        model = make_builtin_infinite()
+    elif not args.lst_file:
         raise ValueError("--model custom-lst requires --lst-file")
-    return from_lst(_load_lst_table(args.lst_file), nu)
+    else:
+        model = from_lst(_load_lst_table(args.lst_file), nu)
+    # tabulated transforms are interpolated and only piecewise-smooth, so
+    # probe just monotonicity/concavity for them
+    max_order = 4 if model.closed_form_derivatives else 1
+    report = check_bernstein(model, CHECK_GRID, max_order=max_order)
+    if not report.passed:
+        raise ValueError(f"Bernstein side conditions do not hold\n{report}")
+    return model
+
+
+def _sim_config(args, model, gamma, window, seed, mode=None) -> SimConfig:
+    """SimConfig from the flags; without --mode the model's activity picks it."""
+    if mode is None:
+        mode = "finite-exact" if model.activity.finite else "infinite-approx"
+    return SimConfig(gamma=gamma, window=window, duration=args.duration,
+                     dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
+
+
+def _refused(exc) -> int:
+    """Report why a command stopped: exit 1 for the runtime guard, 3 otherwise."""
+    if isinstance(exc, ArrivalBudgetError):
+        print(f"runtime guard: {exc}", file=sys.stderr)
+        return 1
+    print(f"model validation failed: {exc}", file=sys.stderr)
+    return 3
 
 
 def _seed_from(args) -> int:
@@ -134,30 +141,12 @@ def _seed_from(args) -> int:
 def cmd_simulate(args, parser) -> int:
     gamma, window = _resolve_shape(args, parser)
     seed = _seed_from(args)
-    mode = args.mode
-    nu = gamma * window
-
     try:
-        model = _build_model(args, nu)
-        # tabulated transforms are interpolated and only piecewise-smooth, so
-        # probe just monotonicity/concavity for them
-        max_order = 4 if model.closed_form_derivatives else 1
-        report = check_bernstein(model, CHECK_GRID, max_order=max_order)
-        if not report.passed:
-            print("model validation failed:", file=sys.stderr)
-            print(str(report), file=sys.stderr)
-            return 3
-        if mode is None:
-            mode = "finite-exact" if model.activity.finite else "infinite-approx"
-        cfg = SimConfig(gamma=gamma, window=window, duration=args.duration,
-                        dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
+        model = _checked_model(args, gamma * window)
+        cfg = _sim_config(args, model, gamma, window, seed, args.mode)
         path = simulate(model, cfg)
-    except ArrivalBudgetError as exc:
-        print(f"runtime guard: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"model validation failed: {exc}", file=sys.stderr)
-        return 3
+    except (ArrivalBudgetError, ValueError) as exc:
+        return _refused(exc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,14 +184,14 @@ def cmd_simulate(args, parser) -> int:
 
     samples = sample_on_grid(path, cfg.dt, cfg.duration)
     summ = summarize(samples, cfg.dt, 0.0)
-    print(f"mode={mode} nu={nu:g} samples={summ.n}")
+    print(f"mode={cfg.mode} nu={cfg.nu:g} samples={summ.n}")
     print(f"mean={summ.mean:.6g} variance={summ.variance:.6g} "
           f"zero_fraction={summ.zero_fraction:.6g}")
-    if args.model in ("finite-k", "infinite-gamma"):
-        law = k_texture_law(nu) if args.model == "finite-k" else gamma_texture_law(nu)
-        thin = max(int(math.ceil(window / cfg.dt)) + 1, 1)
-        ks = ks_distance(samples[::thin], law.cdf, law.atom_at_zero)
-        print(f"ks_vs_{law.kind}={ks:.6g} (thinned to lag > T, n={len(samples[::thin])})")
+    law = validation.marginal_law(model, cfg.nu)
+    if law is not None:
+        (ks,) = validation.marginal_checks(samples, law, cfg)
+        n = len(validation.thin_to_independent(samples, cfg.window, cfg.dt))
+        print(f"{ks.name}={ks.measured:.6g} (thinned to lag > T, n={n})")
     for f in outputs:
         print("wrote", f)
     return 0
@@ -212,117 +201,42 @@ def cmd_simulate(args, parser) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _row(name, measured, expected, tol, ok):
-    return {"check": name, "measured": measured, "expected": expected,
-            "tol": tol, "ok": bool(ok)}
-
-
-def _suite_marginal(model, args, gamma, window, seed):
-    nu = gamma * window
-    mode = "finite-exact" if model.activity.finite else "infinite-approx"
-    cfg = SimConfig(gamma=gamma, window=window, duration=args.duration,
-                    dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
-    path = simulate(model, cfg)
-    samples = sample_on_grid(path, cfg.dt, cfg.duration)
-    thin = int(math.ceil(window / cfg.dt)) + 1
-    thinned = samples[::thin]
-    law = k_texture_law(nu) if model.activity.finite else gamma_texture_law(nu)
-    ks = ks_distance(thinned, law.cdf, law.atom_at_zero)
-    return [_row(f"ks_vs_{law.kind}", ks, 0.0, 0.02, ks < 0.02)]
-
-
-def _suite_covariance(model, args, gamma, window, seed):
-    nu = gamma * window
-    mode = "finite-exact" if model.activity.finite else "infinite-approx"
-    cfg = SimConfig(gamma=gamma, window=window, duration=args.duration,
-                    dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
-    path = simulate(model, cfg)
-    samples = sample_on_grid(path, cfg.dt, cfg.duration)
-    summ = summarize(samples, cfg.dt, 1.5 * window)
-    lag0 = texture_cov(nu, window, model.h2, 0.0)
-    rows = []
-    for frac in (0.0, 0.25, 0.5, 0.75):
-        s = frac * window
-        k = int(round(s / cfg.dt))
-        measured = summ.autocov[k][1]
-        expected = texture_cov(nu, window, model.h2, k * cfg.dt)
-        ok = abs(measured - expected) <= 0.1 * lag0
-        rows.append(_row(f"autocov_lag_{frac:g}T", measured, expected, 0.1 * lag0, ok))
-    k = int(round(1.5 * window / cfg.dt))
-    measured = summ.autocov[k][1]
-    se = math.sqrt(sum(v * v for _, v in summ.autocov) / summ.n)
-    rows.append(_row("autocov_lag_1.5T", measured, 0.0, 3 * se, abs(measured) <= 3 * se))
-    return rows
-
-
-def _suite_moments(model, args, gamma, window, seed):
-    nu = gamma * window
-    G = LimitTransform(model, nu)
-    m = lst_moments(G, 2)
-    rows = [
-        _row("G_at_0", m[0], 1.0, 0.0, m[0] == 1.0),
-        _row("first_moment", m[1], 1.0, 1e-6, abs(m[1] - 1.0) < 1e-6),
-        _row("excess_second_moment", m[2] - 1.0, -model.h2 / nu, 1e-4,
-             abs((m[2] - 1.0) - (-model.h2 / nu)) < 1e-4),
-    ]
-    law = MixingLaw(model, args.kappa)
-    for u in (0.25, 0.5, 0.9):
-        direct = pgf_k(law, u)
-        bysum = float(np.dot(law.pmf_table,
-                             u ** np.arange(1.0, len(law.pmf_table) + 1.0)))
-        rows.append(_row(f"pgf_vs_pmf_u_{u:g}", bysum, direct, 1e-8,
-                         abs(bysum - direct) < 1e-8))
-    emp_mean = float(np.dot(law.pmf_table, np.arange(1.0, len(law.pmf_table) + 1.0)))
-    rows.append(_row("mean_k", emp_mean, mean_k(law), 1e-6,
-                     abs(emp_mean - mean_k(law)) < 1e-6 * mean_k(law)))
-    return rows
-
-
-def _suite_gaussian_limit(model, args, gamma, window, seed):
-    nu = gamma * window
-    d = gaussian_limit_distance(model, nu, 5.0)
-    return [_row("sup_G_minus_exp", d, 0.0, 1e-3, d < 1e-3)]
-
-
-SUITES = {
-    "marginal": _suite_marginal,
-    "covariance": _suite_covariance,
-    "moments": _suite_moments,
-    "gaussian-limit": _suite_gaussian_limit,
-}
+SUITES = ("marginal", "covariance", "moments", "gaussian-limit")
 
 
 def cmd_validate(args, parser) -> int:
     gamma, window = _resolve_shape(args, parser)
     seed = _seed_from(args)
     nu = gamma * window
+    suites = SUITES if args.suite == "all" else (args.suite,)
     try:
-        model = _build_model(args, nu)
-        max_order = 4 if model.closed_form_derivatives else 1
-        report = check_bernstein(model, CHECK_GRID, max_order=max_order)
-        if not report.passed:
-            print("model validation failed:", file=sys.stderr)
-            print(str(report), file=sys.stderr)
-            return 3
-        suites = list(SUITES) if args.suite == "all" else [args.suite]
-        rows = []
-        for name in suites:
-            rows.extend(SUITES[name](model, args, gamma, window, seed))
-    except ArrivalBudgetError as exc:
-        print(f"runtime guard: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"model validation failed: {exc}", file=sys.stderr)
-        return 3
+        model = _checked_model(args, nu)
+        law = validation.marginal_law(model, nu) if "marginal" in suites else None
+        if law is None and "marginal" in suites:
+            if args.suite == "marginal":
+                parser.error("--suite marginal needs a builtin model: "
+                             f"{args.model} has no closed-form marginal law")
+            suites = SUITES[1:]  # --suite all still runs the other three
+        if "marginal" in suites or "covariance" in suites:
+            # one path and one grid serve both sample-based suites
+            cfg = _sim_config(args, model, gamma, window, seed)
+            samples = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
+        checks = {
+            "marginal": lambda: validation.marginal_checks(samples, law, cfg),
+            "covariance": lambda: validation.covariance_checks(samples, model, cfg),
+            "moments": lambda: (validation.moment_checks(model, nu)
+                                + validation.mixing_checks(model, args.kappa)),
+            "gaussian-limit": lambda: validation.gaussian_limit_checks(model),
+        }
+        rows = [row for name in suites for row in checks[name]()]
+    except (ArrivalBudgetError, ValueError) as exc:
+        return _refused(exc)
 
-    width = max(len(r["check"]) for r in rows)
-    all_ok = True
+    width = max(len(r.name) for r in rows)
     for r in rows:
-        status = "PASS" if r["ok"] else "FAIL"
-        all_ok &= r["ok"]
-        print(f"{status}  {r['check']:{width}s}  measured={r['measured']: .6g}  "
-              f"expected={r['expected']: .6g}  tol={r['tol']:.3g}")
-    return 0 if all_ok else 4
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:{width}s}  measured={r.measured: .6g}  "
+              f"expected={r.expected: .6g}  tol={r.tol:.3g}")
+    return 0 if all(r.ok for r in rows) else 4
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +303,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="run oracle comparisons against closed forms")
     _add_model_flags(pv)
-    pv.add_argument("--suite", choices=["marginal", "covariance", "moments",
-                                        "gaussian-limit", "all"], default="all")
+    pv.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     pv.add_argument("--duration", type=float, default=1e5)
     pv.add_argument("--dt", type=float, default=0.1)
     pv.set_defaults(func=cmd_validate)

@@ -20,25 +20,20 @@ from cgclutter import (
     SimConfig,
     check_bernstein,
     gamma_texture_law,
-    gaussian_limit_distance,
     k_texture_law,
-    ks_distance,
-    limit_transform,
-    lst_moments,
     make_builtin_finite,
     make_builtin_infinite,
-    mean_k,
     negbin_pmf,
-    pgf_k,
     pmf_k,
     polya_aeppli_pmf,
     sample_on_grid,
     simulate,
     summarize,
-    texture_cov,
     total_variation,
 )
 from cgclutter.cli import main as cli_main
+from cgclutter.validation import (covariance_checks, gaussian_limit_checks, marginal_checks,
+                                  mixing_checks, moment_checks)
 
 GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -130,23 +125,19 @@ def test_03_k_texture_marginal(finite_run, announce):
     norm_ok = abs(law.atom_at_zero + mass - 1.0) < 1e-6
     mean, _ = quad(lambda t: t * law.pdf(t), 0.0, np.inf, limit=400)
     mean_ok = abs(mean - 1.0) < 1e-6
-    thin = int(math.ceil(cfg.window / cfg.dt)) + 1  # lag 8.1 > T
-    ks = ks_distance(tau[::thin], law.cdf, law.atom_at_zero)
-    ks_ok = ks < 0.02
-    ok = norm_ok and mean_ok and ks_ok
-    announce(3, ok, f"K-texture KS {ks:.4f} < 0.02; law normalization/mean "
+    (ks,) = marginal_checks(tau, law, cfg)  # thinned to lag 8.1 > T
+    ok = norm_ok and mean_ok and ks.ok
+    announce(3, ok, f"K-texture KS {ks.measured:.4f} < 0.02; law normalization/mean "
                     f"within 1e-6 ({norm_ok}/{mean_ok})")
     assert ok
 
 
 def test_04_gamma_marginal(infinite_run, announce):
     cfg, tau = infinite_run
-    law = gamma_texture_law(cfg.nu)
-    thin = int(math.ceil(cfg.window / cfg.dt)) + 1
-    ks = ks_distance(tau[::thin], law.cdf)
+    (ks,) = marginal_checks(tau, gamma_texture_law(cfg.nu), cfg)
     var = summarize(tau, cfg.dt, 0.0).variance
-    ok = ks < 0.02 and abs(var - 0.5) <= 0.05
-    announce(4, ok, f"gamma KS {ks:.4f} < 0.02; variance {var:.4f} within 10% of 0.5")
+    ok = ks.ok and abs(var - 0.5) <= 0.05
+    announce(4, ok, f"gamma KS {ks.measured:.4f} < 0.02; variance {var:.4f} within 10% of 0.5")
     assert ok
 
 
@@ -154,23 +145,14 @@ def test_04_gamma_marginal(infinite_run, announce):
 def test_05_covariance_triangle(which, finite_run, infinite_run, announce):
     cfg, tau = finite_run if which == "finite" else infinite_run
     model = make_builtin_finite() if which == "finite" else make_builtin_infinite()
-    summ = summarize(tau, cfg.dt, 1.5 * cfg.window)
-    lag0 = texture_cov(cfg.nu, cfg.window, model.h2, 0.0)
-    worst = 0.0
-    for frac in (0.0, 0.25, 0.5, 0.75):
-        k = int(round(frac * cfg.window / cfg.dt))
-        dev = abs(summ.autocov[k][1] - texture_cov(cfg.nu, cfg.window, model.h2, k * cfg.dt))
-        worst = max(worst, dev)
-    triangle_ok = worst <= 0.1 * lag0
-    # Bartlett standard error for a lag where the true covariance vanishes
-    k15 = int(round(1.5 * cfg.window / cfg.dt))
-    c = np.array([v for _, v in summ.autocov])
-    se = math.sqrt((c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2)) / summ.n)
-    tail = abs(summ.autocov[k15][1])
-    tail_ok = tail <= 3.0 * se
-    ok = triangle_ok and tail_ok
+    # lags 0..3T/4 within a tenth of the variance; lag 1.5T, where the true
+    # covariance vanishes, within 3 Bartlett standard errors
+    *triangle, tail = covariance_checks(tau, model, cfg)
+    worst = max(abs(r.measured - r.expected) for r in triangle)
+    ok = all(r.ok for r in triangle) and tail.ok
     announce(5, ok, f"{which} covariance triangle worst dev {worst:.4f} <= "
-                    f"{0.1 * lag0:.3f}; lag-1.5T {tail:.4f} <= 3se={3 * se:.4f}")
+                    f"{triangle[0].tol:.3f}; lag-1.5T {abs(tail.measured):.4f} <= "
+                    f"3se={tail.tol:.4f}")
     assert ok
 
 
@@ -222,11 +204,7 @@ def test_07_mixing_consistency(announce):
     ok = True
     detail = []
     for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 150.0)):
-        law = MixingLaw(model, kappa)
-        ns = np.arange(1.0, len(law.pmf_table) + 1.0)
-        for u in (0.25, 0.5, 0.9):
-            ok &= abs(float(np.dot(law.pmf_table, u ** ns)) - pgf_k(law, u)) < 1e-8
-        ok &= abs(float(np.dot(law.pmf_table, ns)) - mean_k(law)) < 1e-6 * mean_k(law)
+        ok &= all(r.ok for r in mixing_checks(model, kappa))
     law = MixingLaw(make_builtin_finite(), 9.0)
     worst_g = max(abs(pmf_k(law, n) - 0.1 * 0.9 ** (n - 1)) for n in range(1, 51))
     law = MixingLaw(make_builtin_infinite(), 1.0)
@@ -239,9 +217,10 @@ def test_07_mixing_consistency(announce):
 
 
 def test_08_gaussian_limit(announce):
-    sup_f = gaussian_limit_distance(make_builtin_finite(), 1e4, 5.0)
-    sup_i = gaussian_limit_distance(make_builtin_infinite(), 1e4, 5.0)
-    sup_ok = sup_f < 1e-3 and sup_i < 1e-3
+    # sup|G - e^-z| on [0, 5] at nu = 1e4
+    sups = [r for m in (make_builtin_finite(), make_builtin_infinite())
+            for r in gaussian_limit_checks(m)]
+    sup_ok = all(r.ok for r in sups)
     # composed clutter at nu=1e3: excess kurtosis of Re z is 6/nu + noise
     cfg = SimConfig(gamma=1.0, window=1000.0, duration=1e6 - 1, dt=1.0, seed=83)
     tau = sample_on_grid(simulate(make_builtin_finite(), cfg), cfg.dt, cfg.duration)
@@ -251,7 +230,7 @@ def test_08_gaussian_limit(announce):
     kurt = np.mean(re_z ** 4) / m2 ** 2 - 3.0
     kurt_ok = abs(kurt) < 0.1
     ok = sup_ok and kurt_ok
-    announce(8, ok, f"sup|G-e^-z| {max(sup_f, sup_i):.1e} < 1e-3; "
+    announce(8, ok, f"sup|G-e^-z| {max(r.measured for r in sups):.1e} < 1e-3; "
                     f"excess kurtosis {kurt:.4f} < 0.1 at n=1e6")
     assert ok
 
@@ -260,13 +239,9 @@ def test_09_transform_moments(announce):
     ok = True
     worst = 0.0
     for model, nu in ((make_builtin_finite(), 2.0), (make_builtin_infinite(), 2.0)):
-        G = limit_transform(model, nu)
-        m0, m1, m2 = lst_moments(G, 2)
-        ok &= m0 == 1.0
-        ok &= abs(m1 - 1.0) < 1e-6
-        dev = abs((m2 - 1.0) - (-model.h2 / nu))
-        worst = max(worst, dev)
-        ok &= dev < 1e-4
+        g0, first, excess = moment_checks(model, nu)
+        ok &= g0.ok and first.ok and excess.ok
+        worst = max(worst, abs(excess.measured - excess.expected))
     announce(9, ok, f"G(0)=1 exact, -G'(0)=1 within 1e-6, second-moment "
                     f"identity dev {worst:.1e} < 1e-4")
     assert ok

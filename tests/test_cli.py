@@ -13,6 +13,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def finite_lst_table(path):
+    """The finite builtin's transform G tabulated at 400 log-spaced points."""
+    z = np.concatenate([[0.0], np.logspace(-4, 6, 400)])
+    G = np.exp(-2.0 * (z / 2.0) / (z / 2.0 + 1.0))
+    path.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, G)))
+    return path
+
+
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -74,16 +82,23 @@ class TestSimulate:
         assert "validation failed" in capsys.readouterr().err
 
     def test_custom_lst_roundtrip(self, tmp_path, capsys):
-        # tabulate the finite builtin's transform and simulate from the table
-        z = np.concatenate([[0.0], np.logspace(-4, 6, 400)])
-        G = np.exp(-2.0 * (z / 2.0) / (z / 2.0 + 1.0))
-        table = tmp_path / "lst.csv"
-        table.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, G)))
+        # simulate from the tabulated transform of the finite builtin
+        table = finite_lst_table(tmp_path / "lst.csv")
         code = run(["simulate", "--model", "custom-lst", "--lst-file", table,
                     "--nu", "2", "--T", "8", "--duration", "2000", "--dt", "0.1",
                     "--seed", "3", "--out", tmp_path / "z"])
         assert code == 0
         assert "mode=finite-exact" in capsys.readouterr().out
+
+
+# `validate --suite all` rows after the marginal one, in print order; the
+# benchmark parses and pins these names
+ROWS_WITHOUT_MARGINAL = [
+    "autocov_lag_0T", "autocov_lag_0.25T", "autocov_lag_0.5T", "autocov_lag_0.75T",
+    "autocov_lag_1.5T", "G_at_0", "first_moment", "excess_second_moment",
+    "pgf_vs_pmf_u_0.25", "pgf_vs_pmf_u_0.5", "pgf_vs_pmf_u_0.9", "mean_k",
+    "sup_G_minus_exp",
+]
 
 
 class TestValidate:
@@ -94,8 +109,10 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_gaussian_limit_large_nu(self, capsys):
-        code = run(["validate", "--model", "infinite-gamma", "--nu", "10000",
+    @pytest.mark.parametrize("nu", ["2", "10000"])
+    def test_gaussian_limit_large_nu(self, nu, capsys):
+        # G -> e^-z is a large-nu statement, checked at nu = 1e4 whatever --nu is
+        code = run(["validate", "--model", "infinite-gamma", "--nu", nu,
                     "--suite", "gaussian-limit"])
         assert code == 0
 
@@ -104,6 +121,30 @@ class TestValidate:
                     "--duration", "30000", "--suite", "marginal", "--seed", "21"])
         assert code == 0
         assert "ks_vs_k-texture" in capsys.readouterr().out
+
+    def test_readme_example_rows(self, capsys):
+        code = run(["validate", "--model", "infinite-gamma", "--nu", "2",
+                    "--kappa", "150", "--suite", "all"])
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert names == ["ks_vs_gamma", *ROWS_WITHOUT_MARGINAL]
+
+    def test_custom_lst_marginal_exit_2(self, tmp_path, capsys):
+        # a tabulated transform has no closed-form marginal to score against
+        table = finite_lst_table(tmp_path / "lst.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                 "--duration", "2000", "--suite", "marginal"])
+        assert exc.value.code == 2
+        assert "closed-form marginal" in capsys.readouterr().err
+
+    def test_custom_lst_all_skips_marginal(self, tmp_path, capsys):
+        table = finite_lst_table(tmp_path / "lst.csv")
+        code = run(["validate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                    "--duration", "2000", "--suite", "all"])
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert code in (0, 4)
+        assert names == ROWS_WITHOUT_MARGINAL
 
 
 class TestLawtable:
