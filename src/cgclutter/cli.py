@@ -63,7 +63,10 @@ def _resolve_shape(args, parser):
 
 def _load_lst_table(path):
     """(z, G) table -> callable transform with log-log tail extrapolation."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read --lst-file {path}: {exc.strerror}") from exc
     data = np.loadtxt(io.StringIO(text.replace(",", " ")))
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("LST table must have two columns: z and G(z)")

@@ -81,6 +81,15 @@ class TestSimulate:
         assert code == 3
         assert "validation failed" in capsys.readouterr().err
 
+    def test_unreadable_lst_file_exit_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = run(["simulate", "--model", "custom-lst", "--lst-file", missing,
+                    "--nu", "2", "--duration", "100", "--dt", "0.1",
+                    "--out", tmp_path / "y"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and str(missing) in err
+
     def test_custom_lst_roundtrip(self, tmp_path, capsys):
         # simulate from the tabulated transform of the finite builtin
         table = finite_lst_table(tmp_path / "lst.csv")
@@ -145,6 +154,14 @@ class TestValidate:
         names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
         assert code in (0, 4)
         assert names == ROWS_WITHOUT_MARGINAL
+
+    def test_unreadable_lst_file_exit_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = run(["validate", "--model", "custom-lst", "--lst-file", missing, "--nu", "2",
+                    "--suite", "moments"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and str(missing) in err
 
 
 class TestLawtable:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgclutter import _export
 from cgclutter._export import BLOCK_ROWS, write_csv
 
 NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
@@ -74,3 +75,37 @@ def test_integer_column_prints_as_str():
 def test_unequal_columns_rejected():
     with pytest.raises(ValueError, match="equal lengths"):
         written(["a", "b"], [[1.0, 2.0], [1.0]])
+
+
+def differential_sample():
+    """Fixed-seed values at the edges of the numpy digit kernel: its range
+    ends, decimal-exponent boundaries, rounding ties and the special values
+    that must take the `%` route."""
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+    near = [c + rng.integers(-2**20, 2**20, 20_000) * np.spacing(c) for c in (1e-4, 1e16, 1e17)]
+    tens = 10.0 ** np.arange(-30, 31)
+    powers = np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+    n, j = rng.integers(0, 10**8, 20_000), rng.integers(0, 17, 20_000)
+    near_ties = (n + 0.5) / 10.0 ** j
+    # m + 0.25 for m in [1e15, 2e15) has 18 significant digits ending in 5:
+    # an exact tie at the 17th
+    ties = rng.integers(10**15, 2 * 10**15, 10_000) + 0.25
+    ints = rng.integers(0, 2 ** rng.integers(1, 54, 20_000)).astype(np.float64)
+    subnormal = rng.integers(1, 2**52, 1_000, dtype=np.uint64).view(np.float64)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans, subnormal, -subnormal])
+    values = np.concatenate([bits, *near, powers, near_ties, ties, ints, special])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("exact_digits", [True, False], ids=["kernel", "percent-only"])
+def test_matches_percent_17g(exact_digits, monkeypatch):
+    # percent-only: where the long double is a double (Apple silicon) every
+    # value takes the `%` route; force that route here too
+    if not exact_digits:
+        monkeypatch.setattr(_export, "EXACT_DIGITS", False)
+    x = differential_sample()
+    want = "x\n" + "".join(["%.17g\n" % v for v in x.tolist()])
+    assert_same(written(["x"], [x]), want)

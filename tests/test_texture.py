@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgclutter import (
     ArrivalBudgetError,
@@ -96,6 +97,34 @@ class TestWindowedProcess:
         with pytest.raises(ValueError):
             windowed_process([1.0, 2.0], [1.0], 1.0, 5.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_window_sum(self, data):
+        window = data.draw(st.floats(0.5, 4.0))
+        duration = data.draw(st.floats(1.0, 12.0))
+        # arrivals from a small pool, so coincident arrivals are common; the
+        # pool reaches past both ends, so marks straddle 0 and duration
+        edges = st.sampled_from([0.0, window, duration, duration + window])
+        pool = data.draw(st.lists(st.floats(0.0, duration + window) | edges,
+                                  min_size=1, max_size=12))
+        a = np.sort(data.draw(st.lists(st.sampled_from(pool), max_size=25)))
+        mark = st.floats(0.0, 10.0) | st.integers(0, 5).map(float)
+        m = np.array(data.draw(st.lists(mark, min_size=len(a), max_size=len(a))))
+        path = windowed_process(a, m, window, duration)
+
+        # every event time, the midpoints between them and random times
+        ts = np.concatenate([[0.0, duration], a, a - window])
+        ts = np.unique(ts[(ts >= 0.0) & (ts <= duration)])
+        ts = np.concatenate([ts, (ts[1:] + ts[:-1]) / 2,
+                             data.draw(st.lists(st.floats(0.0, duration), max_size=5))])
+        for t in ts:
+            active = (a - window <= t) & (t < a)  # a mark counts on [a - T, a)
+            got = path.values[np.searchsorted(path.change_times, t, side="right") - 1]
+            if not active.any():
+                assert got == 0.0, t  # pinned to an exact zero
+            else:
+                assert got == pytest.approx(m[active].sum(), rel=1e-9, abs=1e-9 * m.sum()), t
+
 
 class TestSampleOnGrid:
     def test_right_continuous_sampling(self):
@@ -106,6 +135,22 @@ class TestSampleOnGrid:
     def test_grid_length(self):
         path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
         assert len(sample_on_grid(path, 0.1, 10.0)) == 101
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_right_continuous_at_random_change_times(self, data):
+        dt = data.draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+        n = data.draw(st.integers(2, 60))
+        grid = np.arange(n) * dt
+        # change times on grid points (where right-continuity decides the
+        # sample) and between them
+        on = data.draw(st.lists(st.integers(1, n - 1), max_size=n))
+        off = data.draw(st.lists(st.floats(0.0, grid[-1], exclude_min=True), max_size=10))
+        ct = np.unique(np.concatenate([[0.0], grid[on], off]))
+        vals = np.arange(1.0, len(ct) + 1)  # distinct, so a wrong pick shows
+        got = sample_on_grid(TexturePath(ct, vals, grid[-1]), dt, grid[-1])
+        want = [vals[np.flatnonzero(ct <= t)[-1]] for t in grid]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSimulate:
