@@ -119,7 +119,7 @@ class BernsteinModel:
         return f"BernsteinModel({self.name}, h1={self.h1:g}, h2={self.h2:g}, {act})"
 
 
-def numeric_derivative(fn, n: int, z: float, richardson: bool = True) -> float:
+def numeric_derivative(fn, n: int, z: float) -> float:
     """n-th derivative of `fn` at z >= 0 by finite differences.
 
     Uses an (n+2)-node stencil, centered when z allows it and shifted
@@ -150,8 +150,6 @@ def numeric_derivative(fn, n: int, z: float, richardson: bool = True) -> float:
         vals = fn(np.maximum(z + offsets * h, 0.0))
         return float(np.dot(w, vals)) / h ** n
 
-    if not richardson:
-        return stencil(step)
     d1 = stencil(step)
     d2 = stencil(step / 2.0)
     return (4.0 * d2 - d1) / 3.0

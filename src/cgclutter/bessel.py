@@ -2,53 +2,16 @@
 
 The K-texture density involves exp(-nu(1+tau)) * I1(2 nu sqrt(tau)),
 whose factors overflow/underflow separately at moderate nu.  Exposing
-e^(-x) I1(x) directly keeps the combined exponent bounded.  Power series
-below the crossover, asymptotic expansion above; both agree with
-scipy.special.i1e to ~1e-13 relative (tested).
+e^(-x) I1(x) directly keeps the combined exponent bounded.  The values
+are scipy.special.i1e's; this wrapper adds the domain check.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import i1e
 
 __all__ = ["scaled_i1"]
-
-_CROSSOVER = 20.0
-_ASY_TERMS = 20
-
-# Asymptotic coefficients (-1)^k a_k(1) with
-# a_k(nu) = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k), nu = 1.
-_ASY_COEF = []
-_prod = 1.0
-for _k in range(1, _ASY_TERMS + 1):
-    _prod *= 4.0 - (2 * _k - 1) ** 2
-    _ASY_COEF.append((-1.0) ** _k * _prod / (math.factorial(_k) * 8.0 ** _k))
-del _prod, _k
-
-
-def _series(x: np.ndarray) -> np.ndarray:
-    # I1(x) = sum_m (x/2)^(2m+1) / (m! (m+1)!), scaled by e^(-x)
-    half = x / 2.0
-    term = half.copy()
-    acc = term.copy()
-    for m in range(1, 90):
-        term = term * half * half / (m * (m + 1.0))
-        acc += term
-        if np.all(term <= 1e-18 * acc):
-            break
-    return np.exp(-x) * acc
-
-
-def _asymptotic(x: np.ndarray) -> np.ndarray:
-    inv = 1.0 / x
-    acc = np.ones_like(x)
-    p = np.ones_like(x)
-    for c in _ASY_COEF:
-        p = p * inv
-        acc += c * p
-    return acc / np.sqrt(2.0 * math.pi * x)
 
 
 def scaled_i1(x):
@@ -56,12 +19,5 @@ def scaled_i1(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("scaled_i1 is defined for x >= 0")
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < _CROSSOVER
-    if np.any(small):
-        out[small] = _series(arr[small])
-    if np.any(~small):
-        out[~small] = _asymptotic(arr[~small])
-    return float(out[0]) if scalar else out
+    out = i1e(arr)
+    return float(out) if np.ndim(x) == 0 else out

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import __version__, validation
 from ._export import write_csv
@@ -63,6 +62,8 @@ def _resolve_shape(args, parser):
 
 def _load_lst_table(path):
     """(z, G) table -> callable transform with log-log tail extrapolation."""
+    from scipy.interpolate import PchipInterpolator  # only custom-lst needs it
+
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ class EmpiricalSummary:
     variance: float
     zero_fraction: float
     autocov: tuple
-    ecdf: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +63,6 @@ def summarize(samples, dt: float, max_lag: float) -> EmpiricalSummary:
         variance=var,
         zero_fraction=float(np.mean(x == 0.0)),
         autocov=tuple(autocov),
-        ecdf=np.sort(x),
     )
 
 

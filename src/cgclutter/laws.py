@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammainc, gammaln, xlogy
 
 from ._export import write_csv
 from .bernstein import BernsteinModel, LimitTransform
@@ -104,10 +103,13 @@ def gamma_texture_law(nu: float) -> TextureLaw:
     """Unit-mean gamma texture: density nu^nu / Gamma(nu) tau^(nu-1) e^(-nu tau)."""
     if not nu > 0:
         raise ValueError("nu must be positive")
-    dist = _gamma_dist(a=nu, scale=1.0 / nu)
+    scale = 1.0 / nu
 
     def pdf(tau):
-        return np.where(tau >= 0, dist.pdf(tau), 0.0)
+        # scipy.stats.gamma(a=nu, scale=scale).pdf, operation for operation
+        y = np.maximum(tau, 0.0) / scale
+        dens = np.exp(xlogy(nu - 1.0, y) - y - gammaln(nu)) / scale
+        return np.where(tau >= 0, dens, 0.0)
 
     def cdf(tau):
         return gammainc(nu, nu * np.maximum(tau, 0.0))

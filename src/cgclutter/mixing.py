@@ -56,7 +56,7 @@ def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
         return -((-kappa) ** n) * d / (math.factorial(n) * h_k)
     sign = -1.0 if n % 2 == 0 else 1.0
     scale = math.exp(n * math.log(kappa) - gammaln(n + 1.0))
-    return sign * (-d) * scale / h_k * (-1.0)
+    return sign * d * scale / h_k
 
 
 class MixingLaw:

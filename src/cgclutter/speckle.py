@@ -11,7 +11,6 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.signal import lfilter
 
 from ._export import write_csv
 from .texture import TexturePath, _grid_length, sample_on_grid
@@ -98,6 +97,8 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     if isinstance(corr, White):
         return _white_complex(n, rng, spec.variance)
     if isinstance(corr, AR1):
+        from scipy.signal import lfilter  # scipy.signal loads scipy.stats: ~1 s
+
         rho = corr.rho
         w = _white_complex(n, rng, spec.variance * (1.0 - rho ** 2))
         x0 = _white_complex(1, rng, spec.variance)[0]  # stationary start

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from cgclutter import ks_distance, summarize, total_variation
+from cgclutter import ks_distance, negbin_pmf, summarize, total_variation
 from cgclutter.estimators import ks_critical
 
 
@@ -61,6 +62,22 @@ class TestKsDistance:
         assert naive >= a - 0.02  # naive comparison saturates at the atom
         assert aware < 0.02
 
+    @settings(max_examples=300, deadline=None)
+    @given(atom=st.floats(0.0, 0.9),
+           samples=st.lists(st.just(0.0) | st.sampled_from([0.5, 1.0, 3.0])
+                            | st.floats(0.0, 8.0), min_size=1, max_size=40))
+    def test_matches_brute_force_supremum(self, atom, samples):
+        # atom at zero, exponential above; samples tie at 0 and elsewhere
+        cdf = lambda t: np.where(t < 0, 0.0,
+                                 atom + (1 - atom) * -np.expm1(-np.maximum(t, 0.0)))
+        x = np.array(samples)
+        pts = np.unique(x)
+        # both sides of each jump of the ECDF; F(p-) from the point below p
+        right = np.abs(np.mean(x[:, None] <= pts, axis=0) - cdf(pts))
+        left = np.abs(np.mean(x[:, None] < pts, axis=0) - cdf(np.nextafter(pts, -np.inf)))
+        want = max(right.max(), left.max())
+        assert ks_distance(x, cdf, atom_at_zero=atom) == pytest.approx(want, abs=1e-12)
+
     def test_critical_value(self):
         # c(0.01) = 1.628 (asymptotic Kolmogorov quantile)
         assert ks_critical(10_000, 0.01) == pytest.approx(1.6276 / 100.0, rel=1e-3)
@@ -83,3 +100,19 @@ class TestTotalVariation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             total_variation({0: 0.4}, lambda n: 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=200),
+           law=st.sampled_from(["geometric", "negbin"]),
+           shape=st.floats(0.05, 0.9), mean=st.floats(0.5, 20.0))
+    def test_tail_accounting_matches_direct_sum(self, counts, law, shape, mean):
+        # frequencies of outcomes 0..60; the law may put mass far beyond them
+        if law == "geometric":
+            pmf = lambda n: shape * (1.0 - shape) ** n
+        else:
+            pmf = lambda n: negbin_pmf(10.0 * shape, mean, n)
+        emp = {n: counts.count(n) / len(counts) for n in set(counts)}
+        # support truncated where the analytic tail is below 1e-16
+        direct = np.bincount(counts, minlength=4000) / len(counts)
+        want = 0.5 * np.abs(direct - pmf(np.arange(4000))).sum()
+        assert total_variation(emp, pmf) == pytest.approx(want, abs=1e-12)

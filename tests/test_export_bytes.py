@@ -29,9 +29,10 @@ SIMULATE_PINS = {
     },
 }
 
+# the k-texture pdf is scipy.special.i1e's, so these pins carry its last bits
 LAWTABLE_PINS = {
     ("k-texture", "--nu", "2"):
-        "f7147d25dbeaa3dd2e10b93ef0212db3c0685586cebd50b95ddba6500556b844",
+        "892494430a05bcdf0dac7554b2e85a0ea94c494ebe25a1ee49539aa5e1af42d9",
     ("gamma", "--nu", "2"):
         "c73ee48bd958725640d48b3b43c54ae7b567f278354804d619e3690571fd0101",
     ("polya-aeppli", "--nu", "2", "--p", "0.1"):
@@ -67,7 +68,7 @@ def test_lawtable(flags, tmp_path):
 
 @pytest.mark.parametrize("law, digest", [
     (k_texture_law(2.0),
-     "8e737e2b7e37511205809aa4c6d986949094244c8de5471be2833311efb3c202"),
+     "f223a19faa5998650f647725b9ef80225fbe6949629d5c3a7173ea2dfe392a47"),
     # pdf is +inf at x = 0 for nu < 1
     (gamma_texture_law(0.5),
      "eed04278550fe111d696d8282b8a44428745188635a3d1f580b20e6563ad9dce"),

@@ -1,0 +1,13 @@
+import subprocess
+import sys
+
+# scipy.signal alone pulls in scipy.stats, about a second of imports
+HEAVY = ("scipy.stats", "scipy.signal", "scipy.interpolate")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    code = ("import sys, cgclutter, cgclutter.cli\n"
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

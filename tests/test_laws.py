@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import nbinom
+from scipy.stats import gamma, nbinom
 
 from cgclutter import (
     LimitTransform,
@@ -88,6 +89,20 @@ class TestGammaTextureLaw:
         law = gamma_texture_law(1.0)
         assert law.cdf(math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
         assert law.atom_at_zero == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(0.01, 1.0) | st.floats(1.0, 1e3),
+           xs=st.lists(st.floats(0.0, 1e3), max_size=50))
+    @example(nu=1.0, xs=[])  # x^0 at x = 0 is 1, not 0 * log 0
+    def test_pdf_is_scipy_stats_gamma_bit_for_bit(self, nu, xs):
+        # 0 and the smallest subnormal: the pdf is +inf at 0 for nu < 1
+        x = np.array([0.0, 5e-324, 1e-300, 1.0, *xs])
+        law = gamma_texture_law(nu)
+        with np.errstate(over="ignore"):
+            got = law.pdf(x)
+            want = gamma(a=nu, scale=1.0 / nu).pdf(x)
+        assert np.array_equal(got, want)
+        assert law.pdf(-1.0) == 0.0
 
 
 class TestCountLaws:

@@ -172,7 +172,7 @@ class TestContinuousMixing:
         assert x.mean() == pytest.approx(1.0, rel=0.03)
 
     @pytest.mark.xfail(strict=True, reason="a tabulated transform gives xi mean 0.276; "
-                                           "see ROADMAP item 5")
+                                           "see ROADMAP item 1")
     def test_tabulated_transform_matches_exponential(self, tmp_path):
         # The same finite builtin, with G tabulated at 400 log-spaced points
         # and read back by the table loader behind --model custom-lst. Built
