@@ -13,6 +13,7 @@ from .bernstein import (
     LimitTransform,
     ValidationReport,
     check_bernstein,
+    fit_bernstein,
     from_lst,
     limit_transform,
     make_builtin_finite,

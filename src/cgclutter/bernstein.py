@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "Activity",
@@ -26,6 +26,8 @@ __all__ = [
     "make_builtin_finite",
     "make_builtin_infinite",
     "from_lst",
+    "fit_bernstein",
+    "levy_log_moments",
     "check_bernstein",
     "limit_transform",
     "numeric_derivative",
@@ -40,6 +42,8 @@ SUBLINEAR_TOL = 1e-4       # h(probe)/probe must be below this
 SIGN_TOL = 1e-9            # allowed negative excursion in sign checks
 ACTIVITY_PROBES = (1e4, 1e6, 1e8)
 ACTIVITY_REL_GROWTH = 1e-3
+FIT_TOL = 1e-6             # largest relative miss fit_bernstein accepts
+FIT_SHAPES = (1.0, 4.0, 16.0)  # gamma shapes of the fit's Levy densities
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,11 @@ class BernsteinModel:
     `fn` must accept numpy arrays.  `deriv(n, z)` returns the n-th
     derivative for n >= 1; when absent, controlled finite differences are
     used instead (and `closed_form_derivatives` is False, which makes
-    downstream consumers refuse high orders).
+    downstream consumers refuse high orders).  `measure` is the Levy
+    measure (c, k, x) of a model built by `fit_bernstein`, None otherwise.
     """
+
+    measure = None
 
     def __init__(
         self,
@@ -165,14 +172,8 @@ def make_builtin_finite() -> BernsteinModel:
     def fn(z):
         return z / (z + 1.0)
 
-    def deriv(n, z):
-        sign = -1.0 if n % 2 == 0 else 1.0
-        if n <= 170:
-            val = math.factorial(n) * (z + 1.0) ** (-(n + 1.0))
-        else:
-            expo = gammaln(n + 1.0) - (n + 1.0) * math.log1p(z)
-            val = math.exp(expo) if expo < 709.0 else math.inf
-        return sign * val
+    def deriv(n, z):  # (-1)^(n+1) n! (1+z)^-(n+1)
+        return (-1.0) ** (n + 1) * float(np.exp(gammaln(n + 1.0) - (n + 1.0) * math.log1p(z)))
 
     return BernsteinModel(
         fn,
@@ -191,14 +192,8 @@ def make_builtin_infinite() -> BernsteinModel:
     def fn(z):
         return np.log1p(z)
 
-    def deriv(n, z):
-        sign = 1.0 if n % 2 == 1 else -1.0
-        if n <= 171:
-            val = math.factorial(n - 1) * (1.0 + z) ** (-float(n))
-        else:
-            expo = gammaln(float(n)) - n * math.log1p(z)
-            val = math.exp(expo) if expo < 709.0 else math.inf
-        return sign * val
+    def deriv(n, z):  # (-1)^(n+1) (n-1)! (1+z)^-n
+        return (-1.0) ** (n + 1) * float(np.exp(gammaln(float(n)) - n * math.log1p(z)))
 
     return BernsteinModel(
         fn,
@@ -265,6 +260,66 @@ def from_lst(G_of_z: Callable, nu: float) -> BernsteinModel:
         family=None,
         name="from_lst",
     )
+
+
+# ---------------------------------------------------------------------------
+# A Levy measure fitted to samples of h
+# ---------------------------------------------------------------------------
+
+def levy_log_moments(measure, n, z):
+    """ln of int s^n e^(-zs) Pi(ds) for an array of orders n (ln |h^(n)(z)| if n >= 1),
+    where Pi = (c, k, x) weights gamma densities of shape k and mean x by c."""
+    c, k, x = measure
+    theta = x / k
+    n = np.asarray(n, dtype=float)[..., None]
+    return logsumexp(np.log(c) + gammaln(k + n) - gammaln(k) + n * np.log(theta)
+                     - (k + n) * np.log1p(z * theta), axis=-1)
+
+
+def fit_bernstein(w, h) -> BernsteinModel:
+    """Fit a nonnegative Levy measure to samples h(w) > 0 of a Bernstein function.
+
+    h(w) = sum_j c_j (1 - (1 + w x_j / k_j)^-k_j), c_j >= 0 by nonnegative
+    least squares on the relative miss: weight c_j on the gamma density of
+    shape k_j in FIT_SHAPES and mean x_j, 10 means per decade over
+    [0.1/max w, 10/min w].  The result is a compound Poisson of mass
+    C = sum c_j; smaller jumps are truncated.  Raises ValueError when the
+    largest relative miss exceeds FIT_TOL.
+    """
+    from scipy.optimize import nnls  # only non-builtin models need it
+
+    w = np.asarray(w, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if not (w.ndim == 1 and w.size and w.shape == h.shape and np.all(w > 0)
+            and np.all(h > 0) and np.all(np.isfinite(h))):
+        raise ValueError("fit_bernstein needs 1-d samples with w > 0 and finite h(w) > 0")
+    lo, hi = math.log10(0.1 / w.max()), math.log10(10.0 / w.min())
+    means = np.logspace(lo, hi, math.ceil(10 * (hi - lo)) + 1)
+    k, x = (a.ravel() for a in np.meshgrid(FIT_SHAPES, means))
+    basis = -np.expm1(-k * np.log1p(np.outer(w, x / k))) / h[:, None]
+    try:
+        # nearly collinear columns take up to ~12 steps each, past the default 3
+        c, _ = nnls(basis, np.ones_like(h), maxiter=30 * len(k))
+    except RuntimeError as exc:
+        raise ValueError(f"Levy-measure fit did not converge: {exc}") from exc
+    miss = float(np.max(np.abs(basis @ c - 1.0)))
+    if not miss <= FIT_TOL:
+        raise ValueError(f"no Levy measure fits the samples: the relative miss "
+                         f"{miss:.3g} exceeds {FIT_TOL:g}")
+    c, k, x = measure = c[c > 0], k[c > 0], x[c > 0]
+
+    def fn(z):
+        return -np.expm1(-k * np.log1p(np.asarray(z)[..., None] * (x / k))) @ c
+
+    def deriv(n, z):
+        return (-1.0) ** (n + 1) * float(np.exp(levy_log_moments(measure, n, z)))
+
+    model = BernsteinModel(fn, deriv, h1=float(c @ x),
+                           h2=-float(np.sum(c * x ** 2 * (k + 1.0) / k)),
+                           activity=Activity.finite_mass(float(c.sum())), family="levy",
+                           name=f"levy fit ({len(c)} gamma components)")
+    model.measure = measure
+    return model
 
 
 # ---------------------------------------------------------------------------

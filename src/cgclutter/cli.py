@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, validation
 from ._export import write_csv
-from .bernstein import (BernsteinModel, check_bernstein, from_lst, make_builtin_finite,
+from .bernstein import (BernsteinModel, check_bernstein, fit_bernstein, make_builtin_finite,
                         make_builtin_infinite)
 from .estimators import summarize
 from .laws import gamma_texture_law, k_texture_law, negbin_pmf, polya_aeppli_pmf
@@ -60,10 +60,8 @@ def _resolve_shape(args, parser):
     parser.error("need two of --gamma, --T, --nu (or --nu alone with default T=8)")
 
 
-def _load_lst_table(path):
-    """(z, G) table -> callable transform with log-log tail extrapolation."""
-    from scipy.interpolate import PchipInterpolator  # only custom-lst needs it
-
+def _load_lst_table(path, nu) -> BernsteinModel:
+    """(z, G) table -> the Levy measure fitted to h(w) = -ln G(nu w) / nu."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -78,20 +76,10 @@ def _load_lst_table(path):
         raise ValueError("LST table abscissae must be strictly increasing")
     if np.any(g <= 0) or np.any(g > 1.0 + 1e-12):
         raise ValueError("LST table values must lie in (0, 1]")
-    f = -np.log(np.clip(g, 1e-300, None))  # -ln G, nondecreasing
-    interp = PchipInterpolator(z, f, extrapolate=False)
-    z_max = z[-1]
-    # beyond the table, continue -ln G linearly in ln z (power/log growth)
-    slope = float(interp.derivative()(z_max)) * z_max
-
-    def G(w):
-        w = np.asarray(w, dtype=float)
-        inside = np.clip(w, 0.0, z_max)
-        fv = interp(inside)
-        tail = f[-1] + slope * np.log(np.maximum(w, z_max) / z_max)
-        return np.exp(-np.where(w <= z_max, fv, tail))
-
-    return G
+    if abs(g[0] - 1.0) > 1e-9:
+        raise ValueError(f"G(0) = {float(g[0])!r} is not 1 within 1e-9")
+    keep = g < 1.0  # nodes where G rounds to 1 carry h = 0
+    return fit_bernstein(z[keep] / nu, -np.log(g[keep]) / nu)
 
 
 def _checked_model(args, nu) -> BernsteinModel:
@@ -106,11 +94,8 @@ def _checked_model(args, nu) -> BernsteinModel:
     elif not args.lst_file:
         raise ValueError("--model custom-lst requires --lst-file")
     else:
-        model = from_lst(_load_lst_table(args.lst_file), nu)
-    # tabulated transforms are interpolated and only piecewise-smooth, so
-    # probe just monotonicity/concavity for them
-    max_order = 4 if model.closed_form_derivatives else 1
-    report = check_bernstein(model, CHECK_GRID, max_order=max_order)
+        model = _load_lst_table(args.lst_file, nu)
+    report = check_bernstein(model, CHECK_GRID)
     if not report.passed:
         raise ValueError(f"Bernstein side conditions do not hold\n{report}")
     return model

@@ -4,8 +4,10 @@ The discrete mixing variable K has PGF 1 - h(kappa(1-u))/h(kappa) and PMF
 p(n) = -(-kappa)^n h^(n)(kappa) / (n! h(kappa)) for n >= 1, zero at n = 0.
 For the built-in models this reduces to the geometric (h = z/(z+1)) and
 logarithmic (h = ln(1+z)) families, which get exact log-domain closed
-forms and native samplers.  Finite-activity models additionally admit a
-continuous mixing variable xi with transform g(z) = 1 - h((C/h1) z)/C.
+forms and native samplers.  Any other model goes through its fitted
+gamma-mixture Levy measure (`fit_bernstein`): K is then a mixture of
+zero-truncated negative binomials.  Finite-activity models additionally
+admit a continuous mixing variable xi with transform g(z) = 1 - h((C/h1) z)/C.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from ._export import write_csv
-from .bernstein import Activity, BernsteinModel
+from .bernstein import BernsteinModel, fit_bernstein, levy_log_moments
 
 __all__ = [
     "MixingLaw",
@@ -35,10 +37,12 @@ __all__ = [
 CACHE_TARGET_MASS = 1.0 - 1e-10
 CACHE_N_CAP = 10 ** 7
 FD_PMF_MAX_ORDER = 20
+# where a model without a Levy measure of its own is sampled for the fit
+FIT_NODES = np.logspace(-4, 6, 201)
 
 
 def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
-    """PMF of K straight from the derivative formula (the generic route).
+    """PMF of K straight from the derivative formula, in the log domain.
 
     Finite-difference derivatives are refused beyond order 20; beyond that
     the cancellation in the stencils makes the result meaningless.
@@ -50,13 +54,16 @@ def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
             f"finite-difference derivatives are unreliable beyond order "
             f"{FD_PMF_MAX_ORDER} (requested {n})"
         )
-    h_k = model(kappa)
-    d = model.nth_derivative(n, kappa)
-    if n <= 170:
-        return -((-kappa) ** n) * d / (math.factorial(n) * h_k)
-    sign = -1.0 if n % 2 == 0 else 1.0
-    scale = math.exp(n * math.log(kappa) - gammaln(n + 1.0))
-    return sign * d * scale / h_k
+    d = (-1.0) ** (n + 1) * model.nth_derivative(n, kappa)  # >= 0 for a Bernstein h
+    log_scale = n * math.log(kappa) - gammaln(n + 1.0) - math.log(model(kappa))
+    return math.copysign(math.exp(math.log(abs(d)) + log_scale), d) if d else 0.0
+
+
+def _with_measure(model: BernsteinModel) -> BernsteinModel:
+    """A builtin or fitted model as it is; any other fitted on FIT_NODES."""
+    if model.family in ("rational", "logarithmic", "levy"):
+        return model
+    return fit_bernstein(FIT_NODES, model(FIT_NODES))
 
 
 class MixingLaw:
@@ -65,7 +72,7 @@ class MixingLaw:
     def __init__(self, model: BernsteinModel, kappa: float):
         if not kappa > 0:
             raise ValueError("kappa must be positive")
-        self.model = model
+        self.model = model = _with_measure(model)
         self.kappa = float(kappa)
         self.h_kappa = model(kappa)
         self.mean = kappa * model.h1 / self.h_kappa
@@ -94,36 +101,20 @@ class MixingLaw:
         if self.model.family == "logarithmic":
             p = self._log_p
             return ns * np.log(p) - np.log(ns) - math.log(-math.log1p(-p))
-        raise NotImplementedError
+        # fitted measure: a mixture of zero-truncated negative binomials
+        return (ns * math.log(self.kappa) - gammaln(ns + 1.0) - math.log(self.h_kappa)
+                + levy_log_moments(self.model.measure, ns, self.kappa))
 
     def _build_cache(self):
-        if self.model.family in ("rational", "logarithmic"):
-            n_max = 64
-            while True:
-                ns = np.arange(1, n_max + 1)
-                pmf = np.exp(self._log_pmf_block(ns))
-                if pmf.sum() >= CACHE_TARGET_MASS or n_max >= CACHE_N_CAP:
-                    break
-                n_max *= 2
-        else:
-            pmf_list = []
-            n = 1
-            total = 0.0
-            limit = FD_PMF_MAX_ORDER if not self.model.closed_form_derivatives else 170
-            while total < CACHE_TARGET_MASS and n <= limit:
-                p = pmf_from_derivatives(self.model, self.kappa, n)
-                pmf_list.append(max(p, 0.0))
-                total += pmf_list[-1]
-                n += 1
-            pmf = np.array(pmf_list)
-            if total < CACHE_TARGET_MASS and len(pmf) >= 2 and pmf[-2] > 0:
-                # Approximate geometric tail continuation from the last
-                # reliable decay ratio; documented as approximate.
-                r = pmf[-1] / pmf[-2]
-                if 0 < r < 1:
-                    while pmf.sum() < CACHE_TARGET_MASS and len(pmf) < 10 ** 6:
-                        ext = pmf[-1] * r ** np.arange(1, len(pmf) + 1)
-                        pmf = np.concatenate([pmf, ext])
+        # CACHE_N_CAP bounds the terms summed: orders n times fitted components
+        width = 1 if self.model.measure is None else len(self.model.measure[0])
+        n_max = 64
+        while True:
+            ns = np.arange(1, n_max + 1)
+            pmf = np.exp(self._log_pmf_block(ns))
+            if pmf.sum() >= CACHE_TARGET_MASS or n_max * width >= CACHE_N_CAP:
+                break
+            n_max *= 2
         self.pmf_table = pmf
         self.cdf_table = np.cumsum(pmf)
         self.mass = float(self.cdf_table[-1])
@@ -148,9 +139,7 @@ def pmf_k(law: MixingLaw, n: int) -> float:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0.0
-    if law.model.family in ("rational", "logarithmic"):
-        return float(np.exp(law._log_pmf_block(np.array([n]))[0]))
-    return pmf_from_derivatives(law.model, law.kappa, n)
+    return float(np.exp(law._log_pmf_block(np.array([n]))[0]))
 
 
 def mean_k(law: MixingLaw) -> float:
@@ -192,39 +181,6 @@ class ContinuousMixing:
         return self._sampler(rng, size)
 
 
-def _gaver_stehfest_weights(n_terms: int = 12) -> np.ndarray:
-    half = n_terms // 2
-    V = np.zeros(n_terms)
-    for k in range(1, n_terms + 1):
-        s = 0.0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            s += (
-                j ** half
-                * math.factorial(2 * j)
-                / (
-                    math.factorial(half - j)
-                    * math.factorial(j)
-                    * math.factorial(j - 1)
-                    * math.factorial(k - j)
-                    * math.factorial(2 * j - k)
-                )
-            )
-        V[k - 1] = (-1.0) ** (k + half) * s
-    return V
-
-
-def _invert_cdf_from_lst(g: Callable, s_grid: np.ndarray, n_terms: int = 12):
-    """CDF of xi from its transform g via Gaver-Stehfest on F_hat = g(z)/z."""
-    V = _gaver_stehfest_weights(n_terms)
-    ln2 = math.log(2.0)
-    F = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        zs = np.arange(1, n_terms + 1) * ln2 / s
-        F[i] = (ln2 / s) * np.dot(V, g(zs) / zs)
-    F = np.maximum.accumulate(np.clip(F, 0.0, 1.0))
-    return F
-
-
 def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
     """Build the continuous mixing law xi for a finite-activity model.
 
@@ -236,8 +192,6 @@ def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
             "continuous mixing exists only for finite-activity models; "
             "infinite-activity cluster sizes degenerate to zero"
         )
-    C = model.activity.limit
-
     if model.family == "rational":
         def cdf(s):
             return -np.expm1(-np.asarray(s, dtype=float))
@@ -247,20 +201,19 @@ def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
 
         return ContinuousMixing(cdf, sampler)
 
-    def g(z):
-        return 1.0 - model((C / model.h1) * np.asarray(z, dtype=float)) / C
-
-    s_grid = np.logspace(-4, 2.2, 600)
-    F = _invert_cdf_from_lst(g, s_grid)
-    s_full = np.concatenate([[0.0], s_grid])
-    F_full = np.concatenate([[0.0], F])
-    F_full[-1] = 1.0
+    # xi mixes Gamma(k_j, scale theta_j) with weights c_j / C: its
+    # transform 1 - h((C/h1) z)/C, term by term
+    model = _with_measure(model)
+    c, k, x = model.measure
+    C = model.activity.limit
+    weights = c / C
+    theta = (C / model.h1) * x / k
 
     def cdf(s):
-        return np.interp(np.asarray(s, dtype=float), s_full, F_full)
+        return gammainc(k, np.asarray(s, dtype=float)[..., None] / theta) @ weights
 
     def sampler(rng, size):
-        u = rng.random(size=size)
-        return np.interp(u, F_full, s_full)
+        j = rng.choice(len(c), size=size, p=weights)
+        return rng.gamma(k[j], theta[j])
 
     return ContinuousMixing(cdf, sampler)

@@ -8,6 +8,7 @@ from cgclutter import (
     BernsteinModel,
     LimitTransform,
     check_bernstein,
+    fit_bernstein,
     from_lst,
     limit_transform,
     make_builtin_finite,
@@ -50,8 +51,8 @@ class TestBuiltins:
                 assert h.nth_derivative(n, z) == pytest.approx(want, rel=1e-14)
 
     def test_high_order_derivative_log_domain_branch(self):
-        # n > 170 exceeds math.factorial's float range; the log-gamma branch
-        # must still produce the right (tiny) value at large z
+        # n > 170 exceeds math.factorial's float range; the log-domain
+        # formula must still produce the right (tiny) value at large z
         h = make_builtin_finite()
         from scipy.special import gammaln
         want = -math.exp(gammaln(301.0) - 301.0 * math.log(201.0))
@@ -167,3 +168,37 @@ class TestFromLst:
         # G = e^-z is the transform of a point mass: h(z) = z is not sublinear
         with pytest.raises(ValueError, match="sublinear|vanish"):
             from_lst(lambda z: np.exp(-np.asarray(z, dtype=float)), 1.0)
+
+
+class TestFitBernstein:
+    W = np.logspace(-4, 6, 201)
+
+    def test_recovers_rational_measure(self):
+        # h = z/(z+1) is the unit exponential Levy density: C = h1 = 1, h2 = -2
+        ref = make_builtin_finite()
+        model = fit_bernstein(self.W, ref(self.W))
+        assert model.family == "levy" and model.activity.finite
+        off_nodes = np.logspace(-3.9, 5.9, 37)
+        np.testing.assert_allclose(model(off_nodes), ref(off_nodes), rtol=1e-9)
+        assert (model.activity.limit, model.h1, model.h2) == pytest.approx(
+            (1.0, 1.0, -2.0), rel=1e-6)
+        for n in range(1, 6):
+            for z in GRID:
+                assert model.nth_derivative(n, z) == pytest.approx(
+                    ref.nth_derivative(n, z), rel=1e-6)
+        assert check_bernstein(model, GRID).passed
+
+    def test_fits_non_completely_monotone_density(self):
+        # Levy density 4s e^(-2s): h = 1 - 4/(w+2)^2, C = h1 = 1, h2 = -3/2
+        model = fit_bernstein(self.W, 1.0 - 4.0 / (self.W + 2.0) ** 2)
+        assert (model.activity.limit, model.h1, model.h2) == pytest.approx(
+            (1.0, 1.0, -1.5), rel=1e-6)
+
+    def test_refuses_atomic_measure(self):
+        # a unit atom at s = 1: no sum of gamma densities comes within 1e-6
+        with pytest.raises(ValueError, match="relative miss"):
+            fit_bernstein(self.W, -np.expm1(-self.W))
+
+    def test_rejects_nonpositive_samples(self):
+        with pytest.raises(ValueError, match="h\\(w\\) > 0"):
+            fit_bernstein(np.array([0.0, 1.0]), np.array([0.0, 0.5]))

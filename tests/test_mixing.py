@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from cgclutter import (
+    Activity,
+    BernsteinModel,
     MixingLaw,
     SimConfig,
     continuous_mixing,
@@ -20,6 +23,14 @@ from cgclutter import (
 from cgclutter.bernstein import LimitTransform, from_lst
 from cgclutter.cli import _load_lst_table
 from cgclutter.mixing import pmf_from_derivatives
+
+
+def finite_table(path, nu):
+    """The finite builtin's G at 400 log-spaced z, written at %.17g."""
+    z = np.concatenate([[0.0], np.logspace(-4, 6, 400)])
+    g = LimitTransform(make_builtin_finite(), nu)(z)
+    path.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, g)))
+    return path
 
 
 class TestClosedForms:
@@ -51,13 +62,20 @@ class TestClosedForms:
                 )
 
     def test_derivative_route_high_order_log_domain(self):
-        # n > 170 exercises the log-gamma branch
+        # n > 170: n! and kappa^n overflow a float, their ratio does not
         model = make_builtin_finite()
         kappa = 200.0
         p = 1.0 / (kappa + 1.0)
         got = pmf_from_derivatives(model, kappa, 200)
         want = p * (1 - p) ** 199
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("model", [make_builtin_finite(), make_builtin_infinite()])
+    def test_derivative_route_matches_cache_at_kappa_150(self, model):
+        # past n = 141 kappa^n alone overflows a float; the route stays in logs
+        law = MixingLaw(model, 150.0)
+        got = [pmf_from_derivatives(model, 150.0, n) for n in range(1, 400)]
+        np.testing.assert_allclose(got, law.pmf_table[:399], rtol=1e-10)
 
 
 class TestPgfAndMoments:
@@ -160,37 +178,48 @@ class TestContinuousMixing:
             continuous_mixing(make_builtin_infinite())
 
     def test_generic_inversion_matches_exponential(self):
-        # same rational model rebuilt without its family tag: the transform
-        # inversion must reproduce the unit exponential CDF
+        # same rational model rebuilt without its family tag: xi from the
+        # Levy measure fitted to it must be the unit exponential
         nu = 2.0
         model = from_lst(LimitTransform(make_builtin_finite(), nu), nu)
         mix = continuous_mixing(model)
         s = np.linspace(0.05, 6.0, 60)
-        np.testing.assert_allclose(mix.cdf(s), 1.0 - np.exp(-s), atol=5e-3)
+        np.testing.assert_allclose(mix.cdf(s), 1.0 - np.exp(-s), atol=1e-5)
         rng = np.random.default_rng(8)
         x = mix.sample(rng, size=100_000)
         assert x.mean() == pytest.approx(1.0, rel=0.03)
 
-    @pytest.mark.xfail(strict=True, reason="a tabulated transform gives xi mean 0.276; "
-                                           "see ROADMAP item 1")
+    def test_bare_function_fits_non_completely_monotone_density(self):
+        # h = 1 - 4/(z+2)^2 has Levy density 4s e^(-2s), so xi ~ Gamma(2, 1/2)
+        model = BernsteinModel(lambda z: 1.0 - 4.0 / (z + 2.0) ** 2, h1=1.0, h2=-1.5,
+                               activity=Activity.finite_mass(1.0))
+        s = np.linspace(0.0, 8.0, 81)
+        np.testing.assert_allclose(continuous_mixing(model).cdf(s),
+                                   gammainc(2.0, 2.0 * s), atol=1e-5)
+
     def test_tabulated_transform_matches_exponential(self, tmp_path):
         # The same finite builtin, with G tabulated at 400 log-spaced points
-        # and read back by the table loader behind --model custom-lst. Built
-        # from the analytic G (the test above) xi has mean 1 and a texture
-        # path mean 1.006, variance 1.005. From the table, xi samples with
-        # mean 0.276 and the texture path below has mean 0.278 and variance
-        # 0.055. Suspected, not verified: the Gaver-Stehfest inversion
-        # (weights up to 8e6) amplifies the table's interpolation error.
+        # and read back by the table loader behind --model custom-lst, which
+        # fits a Levy measure to it: xi, the texture mean and its variance
+        # are all 1.
         nu = 2.0
-        z = np.concatenate([[0.0], np.logspace(-4, 6, 400)])
-        g = LimitTransform(make_builtin_finite(), nu)(z)
-        table = tmp_path / "lst.csv"
-        table.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, g)))
-        model = from_lst(_load_lst_table(table), nu)
+        model = _load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu)
         x = continuous_mixing(model).sample(np.random.default_rng(8), size=100_000)
         cfg = SimConfig(gamma=0.25, window=8.0, duration=2e4, dt=0.1, seed=3)
         tau = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
         assert (x.mean(), tau.mean(), tau.var()) == pytest.approx((1.0, 1.0, 1.0), rel=0.1)
+
+    def test_tabulated_transform_cluster_sizes_are_geometric(self, tmp_path):
+        # K of h = z/(z+1) at kappa 150 is geometric(1/151); the fitted
+        # measure leaves a TV of 1.5e-6
+        nu, kappa = 2.0, 150.0
+        law = MixingLaw(_load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu), kappa)
+        assert law.model.family == "levy"
+        ns = np.arange(1, len(law.pmf_table) + 1)
+        p = 1.0 / (kappa + 1.0)
+        geometric = p * (1.0 - p) ** (ns - 1)
+        tv = 0.5 * (np.abs(law.pmf_table - geometric).sum() + 1.0 - geometric.sum())
+        assert tv < 1e-5
 
 
 class TestValidation:
