@@ -26,24 +26,21 @@ __all__ = [
     "make_builtin_finite",
     "make_builtin_infinite",
     "from_lst",
+    "fit_transform",
     "fit_bernstein",
     "levy_log_moments",
     "check_bernstein",
     "limit_transform",
-    "numeric_derivative",
 ]
-
-_EPS = np.finfo(float).eps
 
 # Numerical policy for the side-condition checks (absolute slacks).
 ZERO_TOL = 1e-12           # |h(0)| must be below this
 SUBLINEAR_PROBE = 1e8      # probe point for h(z)/z -> 0
 SUBLINEAR_TOL = 1e-4       # h(probe)/probe must be below this
 SIGN_TOL = 1e-9            # allowed negative excursion in sign checks
-ACTIVITY_PROBES = (1e4, 1e6, 1e8)
-ACTIVITY_REL_GROWTH = 1e-3
 FIT_TOL = 1e-6             # largest relative miss fit_bernstein accepts
 FIT_SHAPES = (1.0, 4.0, 16.0)  # gamma shapes of the fit's Levy densities
+FIT_NODES = np.logspace(-4, 6, 201)  # w at which from_lst and hand-built models are fitted
 
 
 @dataclass(frozen=True)
@@ -74,11 +71,10 @@ def _as_float_array(z):
 class BernsteinModel:
     """A Bernstein function h with derivative access and activity class.
 
-    `fn` must accept numpy arrays.  `deriv(n, z)` returns the n-th
-    derivative for n >= 1; when absent, controlled finite differences are
-    used instead (and `closed_form_derivatives` is False, which makes
-    downstream consumers refuse high orders).  `measure` is the Levy
-    measure (c, k, x) of a model built by `fit_bernstein`, None otherwise.
+    `fn` must accept numpy arrays; `deriv(n, z)` returns the n-th
+    derivative for n >= 1.  A model is either a closed form (the two
+    builtins) or fitted: `measure` is the Levy measure (c, k, x) of a model
+    built by `fit_bernstein`, None otherwise.
     """
 
     measure = None
@@ -86,7 +82,7 @@ class BernsteinModel:
     def __init__(
         self,
         fn: Callable,
-        deriv: Callable | None = None,
+        deriv: Callable,
         *,
         h1: float,
         h2: float,
@@ -101,7 +97,6 @@ class BernsteinModel:
         self.activity = activity
         self.family = family
         self.name = name
-        self.closed_form_derivatives = deriv is not None
         if not self.h1 > 0:
             raise ValueError("h'(0) must be positive")
         if self.h2 > 0:
@@ -117,49 +112,11 @@ class BernsteinModel:
             raise ValueError("derivative order must be >= 1")
         if z < 0:
             raise ValueError("Bernstein functions are defined for z >= 0 only")
-        if self._deriv is not None:
-            return float(self._deriv(n, z))
-        return numeric_derivative(self._fn, n, z)
+        return float(self._deriv(n, z))
 
     def __repr__(self):
         act = f"Finite(C={self.activity.limit:g})" if self.activity.finite else "Infinite"
         return f"BernsteinModel({self.name}, h1={self.h1:g}, h2={self.h2:g}, {act})"
-
-
-def numeric_derivative(fn, n: int, z: float) -> float:
-    """n-th derivative of `fn` at z >= 0 by finite differences.
-
-    Uses an (n+2)-node stencil, centered when z allows it and shifted
-    one-sided near the origin so the function is never evaluated at
-    negative arguments.  The step grows with the order to keep rounding
-    error below truncation error; one Richardson pass removes the leading
-    O(h^2) term.
-    """
-    if n == 0:
-        return float(fn(np.asarray(z, dtype=float)))
-    # balance rounding (eps / h^n) against the post-Richardson truncation
-    # (h^4): h* ~ eps^(1/(n+4)), floored at 1e-3
-    step = max(abs(z), 1.0) * max(1e-3, _EPS ** (1.0 / (n + 4)))
-    # a symmetric (n+2)-node stencil has O(h^2) error; shifted stencils near
-    # the origin need one extra node to reach the same order
-    m = n + 2 if z / step >= (n + 1) / 2.0 else n + 3
-
-    def stencil(h):
-        c = min((m - 1) / 2.0, z / h)
-        offsets = np.arange(m, dtype=float) - c
-        # Solve for weights w with sum_j w_j * o_j^i / i! = delta_{i,n}.
-        A = np.empty((m, m))
-        for i in range(m):
-            A[i] = offsets ** i / math.factorial(i)
-        rhs = np.zeros(m)
-        rhs[n] = 1.0
-        w = np.linalg.solve(A, rhs)
-        vals = fn(np.maximum(z + offsets * h, 0.0))
-        return float(np.dot(w, vals)) / h ** n
-
-    d1 = stencil(step)
-    d2 = stencil(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,56 +167,33 @@ def make_builtin_infinite() -> BernsteinModel:
 # Construction from a Laplace-Stieltjes transform
 # ---------------------------------------------------------------------------
 
-def _classify_activity(fn) -> Activity:
-    probes = [float(fn(np.asarray(p))) for p in ACTIVITY_PROBES]
-    growth = max(
-        (b - a) / max(b, _EPS) for a, b in zip(probes[:-1], probes[1:])
-    )
-    if growth < ACTIVITY_REL_GROWTH:
-        return Activity.finite_mass(probes[-1])
-    return Activity.infinite()
+def fit_transform(z, g, nu) -> BernsteinModel:
+    """Fit h(w) = -ln G(nu w) / nu from samples g = G(z) at z >= 0, z[0] = 0.
 
-
-def from_lst(G_of_z: Callable, nu: float) -> BernsteinModel:
-    """Build h(z) = -(1/nu) ln G(nu z) from the transform of a unit-mean law.
-
-    G must be the Laplace-Stieltjes transform of a nonnegative infinitely
-    divisible random variable with mean one; h'(0) is then pinned to 1 by
-    convention.  Rejects transforms that fail the basic numerical probes
-    (normalization at 0, nonnegativity/monotonicity of h, sublinear
-    growth).
+    G must be the Laplace-Stieltjes transform of a unit-mean law, so
+    G(0) = 1 and 0 <= G <= 1.  Nodes where G rounds to 1 (h = 0) or
+    underflows to 0 (h infinite) are dropped; the rest go to `fit_bernstein`.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
-    g0 = float(G_of_z(np.asarray(0.0)))
-    if abs(g0 - 1.0) > 1e-9:
-        raise ValueError(f"G(0) = {g0!r} is not 1 within 1e-9")
+    z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
+    if abs(g[0] - 1.0) > 1e-9:
+        raise ValueError(f"G(0) = {float(g[0])!r} is not 1 within 1e-9")
+    if not np.all((g >= 0.0) & (g <= 1.0 + 1e-12)):
+        raise ValueError("G values must lie in [0, 1]")
+    keep = (g > 0.0) & (g < 1.0)
+    return fit_bernstein(z[keep] / nu, -np.log(g[keep]) / nu)
 
-    def fn(z):
-        g = G_of_z(nu * np.asarray(z, dtype=float))
-        with np.errstate(divide="ignore"):
-            return -np.log(g) / nu
 
-    probe = np.concatenate([[0.0], np.logspace(-3, 3, 61)])
-    vals = fn(probe)
-    if np.any(vals < -1e-12):
-        raise ValueError("transform yields a negative h(z) on the probe grid")
-    with np.errstate(invalid="ignore"):  # G underflow makes h infinite
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("transform yields a non-monotone h(z) on the probe grid")
-    if float(fn(np.asarray(SUBLINEAR_PROBE))) / SUBLINEAR_PROBE >= SUBLINEAR_TOL:
-        raise ValueError("h(z)/z does not vanish at large z (degenerate transform)")
+def from_lst(G_of_z: Callable, nu: float) -> BernsteinModel:
+    """The model of a unit-mean infinitely divisible law with transform G.
 
-    h2 = numeric_derivative(fn, 2, 0.0)
-    return BernsteinModel(
-        fn,
-        None,
-        h1=1.0,
-        h2=min(h2, 0.0),
-        activity=_classify_activity(fn),
-        family=None,
-        name="from_lst",
-    )
+    G is sampled at z = nu * [0, FIT_NODES] and fitted by `fit_transform`,
+    exactly as a `--lst-file` table is: the result is a compound Poisson
+    even when G's own Levy measure has infinite mass.
+    """
+    z = nu * np.concatenate([[0.0], FIT_NODES])
+    return fit_transform(z, G_of_z(z), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +311,6 @@ def check_bernstein(model: BernsteinModel, grid, max_order: int = 4) -> Validati
     are reported, never raised.
     """
     grid = [float(g) for g in grid]
-    if max_order > 6:
-        raise ValueError("max_order above 6 is not supported")
     conds = []
 
     v0 = float(model(0.0))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, validation
 from ._export import write_csv
-from .bernstein import (BernsteinModel, check_bernstein, fit_bernstein, make_builtin_finite,
+from .bernstein import (BernsteinModel, check_bernstein, fit_transform, make_builtin_finite,
                         make_builtin_infinite)
 from .estimators import summarize
 from .laws import gamma_texture_law, k_texture_law, negbin_pmf, polya_aeppli_pmf
@@ -74,12 +74,7 @@ def _load_lst_table(path, nu) -> BernsteinModel:
         raise ValueError("LST table must start at z = 0")
     if np.any(np.diff(z) <= 0):
         raise ValueError("LST table abscissae must be strictly increasing")
-    if np.any(g <= 0) or np.any(g > 1.0 + 1e-12):
-        raise ValueError("LST table values must lie in (0, 1]")
-    if abs(g[0] - 1.0) > 1e-9:
-        raise ValueError(f"G(0) = {float(g[0])!r} is not 1 within 1e-9")
-    keep = g < 1.0  # nodes where G rounds to 1 carry h = 0
-    return fit_bernstein(z[keep] / nu, -np.log(g[keep]) / nu)
+    return fit_transform(z, g, nu)
 
 
 def _checked_model(args, nu) -> BernsteinModel:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from ._export import write_csv
-from .bernstein import BernsteinModel, fit_bernstein, levy_log_moments
+from .bernstein import FIT_NODES, BernsteinModel, fit_bernstein, levy_log_moments
 
 __all__ = [
     "MixingLaw",
@@ -36,31 +36,19 @@ __all__ = [
 
 CACHE_TARGET_MASS = 1.0 - 1e-10
 CACHE_N_CAP = 10 ** 7
-FD_PMF_MAX_ORDER = 20
-# where a model without a Levy measure of its own is sampled for the fit
-FIT_NODES = np.logspace(-4, 6, 201)
 
 
 def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
-    """PMF of K straight from the derivative formula, in the log domain.
-
-    Finite-difference derivatives are refused beyond order 20; beyond that
-    the cancellation in the stencils makes the result meaningless.
-    """
+    """PMF of K straight from the derivative formula, in the log domain."""
     if n == 0:
         return 0.0
-    if not model.closed_form_derivatives and n > FD_PMF_MAX_ORDER:
-        raise ValueError(
-            f"finite-difference derivatives are unreliable beyond order "
-            f"{FD_PMF_MAX_ORDER} (requested {n})"
-        )
     d = (-1.0) ** (n + 1) * model.nth_derivative(n, kappa)  # >= 0 for a Bernstein h
     log_scale = n * math.log(kappa) - gammaln(n + 1.0) - math.log(model(kappa))
     return math.copysign(math.exp(math.log(abs(d)) + log_scale), d) if d else 0.0
 
 
 def _with_measure(model: BernsteinModel) -> BernsteinModel:
-    """A builtin or fitted model as it is; any other fitted on FIT_NODES."""
+    """A builtin or fitted model as it is; a hand-built one fitted on FIT_NODES."""
     if model.family in ("rational", "logarithmic", "levy"):
         return model
     return fit_bernstein(FIT_NODES, model(FIT_NODES))
@@ -157,7 +145,7 @@ def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
     if law.model.family == "logarithmic":
         return rng.logseries(law._log_p, size=size)
     if law.mass < CACHE_TARGET_MASS:
-        raise RuntimeError(
+        raise ValueError(
             f"cached PMF mass {law.mass!r} is short of {CACHE_TARGET_MASS!r}; "
             "tail too heavy for the supported truncation"
         )

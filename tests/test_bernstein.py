@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgclutter import (
     Activity,
     BernsteinModel,
     LimitTransform,
+    MixingLaw,
     check_bernstein,
     fit_bernstein,
     from_lst,
@@ -14,7 +16,8 @@ from cgclutter import (
     make_builtin_finite,
     make_builtin_infinite,
 )
-from cgclutter.bernstein import numeric_derivative
+from cgclutter.bernstein import FIT_NODES, FIT_SHAPES, levy_log_moments
+from cgclutter.cli import _load_lst_table
 
 GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -66,29 +69,6 @@ class TestBuiltins:
         h = make_builtin_finite()
         z = np.array([0.0, 1.0, 3.0])
         np.testing.assert_allclose(h(z), [0.0, 0.5, 0.75])
-
-
-class TestNumericDerivative:
-    def test_against_closed_form(self):
-        # one-sided stencils at the origin are the least accurate case, so
-        # the tolerance there is looser than in the interior
-        fn = lambda z: np.log1p(z)
-        for n in (1, 2, 3):
-            for z in (0.0, 0.5, 2.0):
-                want = (-1.0) ** (n - 1) * math.factorial(n - 1) * (1.0 + z) ** (-n)
-                got = numeric_derivative(fn, n, z)
-                tol = 1e-5 if z == 0.0 else 1e-7
-                assert got == pytest.approx(want, rel=tol)
-
-    def test_one_sided_near_origin_never_goes_negative(self):
-        seen = []
-
-        def fn(z):
-            seen.append(np.min(z))
-            return np.sqrt(np.maximum(z, 0.0) + 1.0)
-
-        numeric_derivative(fn, 2, 0.0)
-        assert min(seen) >= 0.0
 
 
 class TestCheckBernstein:
@@ -153,20 +133,43 @@ class TestFromLst:
         assert model.h2 == pytest.approx(-2.0, rel=1e-4)
 
     def test_recovers_log_model_as_infinite(self):
+        # ln(1+z) has infinite activity; its fit is a compound Poisson whose
+        # smallest jumps are cut, so C is finite while h1 and h2 hold
         nu = 3.0
         G = LimitTransform(make_builtin_infinite(), nu)
         model = from_lst(G, nu)
-        assert not model.activity.finite
-        assert model.h2 == pytest.approx(-1.0, rel=1e-4)
+        assert model.family == "levy"
+        assert model.activity.finite and math.isfinite(model.activity.limit)
+        assert (model.h1, model.h2) == pytest.approx((1.0, -1.0), rel=1e-6)
         assert check_bernstein(model, GRID).passed
+
+    def test_fits_large_nu(self):
+        # G(nu * 1e6) underflows to 0 here: those nodes are dropped, not refused
+        nu = 60.0
+        model = from_lst(LimitTransform(make_builtin_infinite(), nu), nu)
+        assert model.h2 == pytest.approx(-1.0, rel=1e-6)
+        assert check_bernstein(model, GRID).passed
+        assert MixingLaw(model, 150.0).mass > 1.0 - 1e-9
+
+    def test_matches_table_fit_bit_for_bit(self, tmp_path):
+        # the same samples of G, from the callable or read back from a
+        # %.17g table, give the same Levy measure
+        nu = 2.0
+        G = LimitTransform(make_builtin_finite(), nu)
+        z = nu * np.concatenate([[0.0], FIT_NODES])
+        table = tmp_path / "lst.csv"
+        table.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, G(z))))
+        for a, b in zip(from_lst(G, nu).measure, _load_lst_table(table, nu).measure):
+            assert np.array_equal(a, b)
 
     def test_rejects_unnormalized_transform(self):
         with pytest.raises(ValueError, match="G\\(0\\)"):
             from_lst(lambda z: 0.5 * np.exp(-np.asarray(z)), 1.0)
 
     def test_rejects_degenerate_transform(self):
-        # G = e^-z is the transform of a point mass: h(z) = z is not sublinear
-        with pytest.raises(ValueError, match="sublinear|vanish"):
+        # G = e^-z is the transform of a point mass: h(z) = z is linear, and
+        # no Levy measure comes within 1e-6 of it (the miss is 0.048)
+        with pytest.raises(ValueError, match="relative miss 0.048"):
             from_lst(lambda z: np.exp(-np.asarray(z, dtype=float)), 1.0)
 
 
@@ -202,3 +205,18 @@ class TestFitBernstein:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError, match="h\\(w\\) > 0"):
             fit_bernstein(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from(FIT_SHAPES),
+                                st.floats(1e-3, 1e3)), min_size=1, max_size=6),
+       ns=st.lists(st.integers(0, 30), min_size=1, max_size=8),
+       z=st.floats(0.0, 1e3))
+def test_levy_log_moments_matches_term_by_term_sum(parts, ns, z):
+    # int s^n e^(-zs) Pi(ds) = sum_j c_j Gamma(k_j+n)/Gamma(k_j) theta_j^n
+    # (1 + z theta_j)^-(k_j+n), theta_j = x_j / k_j, summed in plain floats
+    c, k, x = (np.array(a) for a in zip(*parts))
+    got = np.exp(levy_log_moments((c, k, x), ns, z))
+    want = [sum(cj * math.gamma(kj + n) / math.gamma(kj) * (xj / kj) ** n
+                * (1.0 + z * xj / kj) ** -(kj + n) for cj, kj, xj in parts) for n in ns]
+    np.testing.assert_allclose(got, want, rtol=1e-11)

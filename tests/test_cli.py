@@ -95,6 +95,19 @@ class TestSimulate:
         assert code == 3
         assert err.count("\n") == 1 and str(missing) in err
 
+    def test_short_k_cache_exit_3(self, tmp_path, capsys):
+        # h(w) = sqrt(w) up to w = 5e4: h'(0) is infinite, so K's cache
+        # stops short of its target mass and sampling K is refused
+        z = np.concatenate([[0.0], np.logspace(-4, 5, 400)])
+        table = tmp_path / "sqrt.csv"
+        table.write_text("".join(f"{zi:.17g},{gi:.17g}\n"
+                                 for zi, gi in zip(z, np.exp(-2.0 * np.sqrt(z / 2.0)))))
+        code = run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                    "--duration", "200", "--mode", "infinite-approx", "--out", tmp_path / "s"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "cached PMF mass" in err and err.count("\n") == 1
+
     def test_custom_lst_roundtrip(self, tmp_path, capsys):
         # simulate from the tabulated transform of the finite builtin
         table = finite_lst_table(tmp_path / "lst.csv")

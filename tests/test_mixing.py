@@ -5,8 +5,6 @@ import pytest
 from scipy.special import gammainc
 
 from cgclutter import (
-    Activity,
-    BernsteinModel,
     MixingLaw,
     SimConfig,
     continuous_mixing,
@@ -20,7 +18,7 @@ from cgclutter import (
     second_moment_k,
     simulate,
 )
-from cgclutter.bernstein import LimitTransform, from_lst
+from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, from_lst
 from cgclutter.cli import _load_lst_table
 from cgclutter.mixing import pmf_from_derivatives
 
@@ -191,8 +189,7 @@ class TestContinuousMixing:
 
     def test_bare_function_fits_non_completely_monotone_density(self):
         # h = 1 - 4/(z+2)^2 has Levy density 4s e^(-2s), so xi ~ Gamma(2, 1/2)
-        model = BernsteinModel(lambda z: 1.0 - 4.0 / (z + 2.0) ** 2, h1=1.0, h2=-1.5,
-                               activity=Activity.finite_mass(1.0))
+        model = fit_bernstein(FIT_NODES, 1.0 - 4.0 / (FIT_NODES + 2.0) ** 2)
         s = np.linspace(0.0, 8.0, 81)
         np.testing.assert_allclose(continuous_mixing(model).cdf(s),
                                    gammainc(2.0, 2.0 * s), atol=1e-5)
