@@ -36,6 +36,7 @@ __all__ = [
 
 CACHE_TARGET_MASS = 1.0 - 1e-10
 CACHE_N_CAP = 10 ** 7
+CACHE_CHUNK = 2 ** 18  # orders x components evaluated at once: 2 MB per temporary
 
 
 def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
@@ -94,12 +95,18 @@ class MixingLaw:
                 + levy_log_moments(self.model.measure, ns, self.kappa))
 
     def _build_cache(self):
-        # CACHE_N_CAP bounds the terms summed: orders n times fitted components
+        # CACHE_N_CAP bounds the terms summed: orders n times fitted components.
+        # Each doubling adds only its new orders, CACHE_CHUNK terms at a time;
+        # log p(n) is computed order by order, so the table does not depend
+        # on how the orders are split.
         width = 1 if self.model.measure is None else len(self.model.measure[0])
+        rows = max(CACHE_CHUNK // width, 1)
+        pmf = np.empty(0)
         n_max = 64
         while True:
-            ns = np.arange(1, n_max + 1)
-            pmf = np.exp(self._log_pmf_block(ns))
+            ns = np.arange(len(pmf) + 1, n_max + 1)
+            pmf = np.concatenate([pmf] + [np.exp(self._log_pmf_block(ns[i:i + rows]))
+                                          for i in range(0, len(ns), rows)])
             if pmf.sum() >= CACHE_TARGET_MASS or n_max * width >= CACHE_N_CAP:
                 break
             n_max *= 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._export import write_csv
 from .texture import TexturePath, _grid_length, sample_on_grid
@@ -110,14 +110,18 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     acf = np.zeros(n, dtype=complex)
     vals = np.asarray(corr.acf, dtype=complex)[:n]
     acf[: len(vals)] = vals
-    C = toeplitz(acf, np.conj(acf))
+    # Hermitian Toeplitz C[i, j] = lags[n - 1 + i - j]: acf[i - j] on and
+    # below the diagonal, conj(acf[j - i]) above it; row i is window i reversed
+    lags = np.concatenate([np.conj(acf[:0:-1]), acf])
+    C = sliding_window_view(lags, n)[:, ::-1].copy()
     try:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         evals, evecs = np.linalg.eigh(C)
         if evals.min() < -1e-10 * max(abs(acf[0]), 1.0):
             raise ValueError("custom ACF is not positive semidefinite") from None
-        L = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        L = evecs  # scaled in place: one n x n complex array fewer
+        L *= np.sqrt(np.clip(evals, 0.0, None))
     w = _white_complex(n, rng, 1.0)
     return L @ w
 

@@ -98,9 +98,13 @@ class TexturePath:
     def __post_init__(self):
         if len(self.change_times) != len(self.values):
             raise ValueError("change_times and values must align")
-        if np.any(np.diff(self.change_times) <= 0):
+        if not (len(self.change_times) and np.isfinite(self.change_times[0])):
+            raise ValueError("change_times must start with a finite time")
+        # "all ok" rather than "any bad", so that NaN, which fails every
+        # comparison, is refused
+        if not np.all(np.diff(self.change_times) > 0):
             raise ValueError("change_times must be strictly increasing")
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):
             raise ValueError("texture values must be nonnegative")
 
     def export_events_csv(self, path):
@@ -244,12 +248,28 @@ def _grid_length(duration: float, dt: float) -> int:
 
 
 def sample_on_grid(path: TexturePath, dt: float, duration: float | None = None) -> np.ndarray:
-    """Right-continuous samples tau(i*dt) for i = 0 .. floor(duration/dt)."""
+    """Right-continuous samples tau(i*dt) for i = 0 .. floor(duration/dt).
+
+    Searches per change point, not per grid point: change c_j first holds
+    at grid index pos_j = #{i : i*dt < c_j}, and each value is repeated
+    until the next change.  Grid points before the first change take
+    values[0].
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if duration is None:
         duration = path.duration
-    t = np.arange(_grid_length(duration, dt)) * dt
-    idx = np.searchsorted(path.change_times, t, side="right") - 1
-    idx = np.clip(idx, 0, len(path.values) - 1)
-    return path.values[idx]
+    n = max(_grid_length(duration, dt), 0)
+    ct = path.change_times
+    pos = np.clip(np.ceil(ct / dt), 0, n).astype(np.intp)
+    # ceil(c/dt) can miss by a step where c/dt rounds; correct it against the
+    # same float64 products i*dt that np.arange(n) * dt forms
+    while True:
+        down = (pos > 0) & ((pos - 1) * dt >= ct)
+        up = (pos < n) & (pos * dt < ct)
+        if not (down.any() or up.any()):
+            break
+        pos += up
+        pos -= down
+    pos[0] = 0
+    return np.repeat(path.values, np.diff(pos, append=n))

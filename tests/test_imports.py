@@ -3,7 +3,8 @@ import sys
 
 # scipy.signal alone pulls in scipy.stats, about a second of imports;
 # scipy.optimize loads only when a non-builtin model is fitted
-HEAVY = ("scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.optimize")
+HEAVY = ("scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.optimize",
+         "scipy.linalg")
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cgclutter import (
     second_moment_k,
     simulate,
 )
-from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, from_lst
+from cgclutter import mixing
+from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, fit_transform, from_lst
 from cgclutter.cli import _load_lst_table
 from cgclutter.mixing import pmf_from_derivatives
 
@@ -217,6 +219,33 @@ class TestContinuousMixing:
         geometric = p * (1.0 - p) ** (ns - 1)
         tv = 0.5 * (np.abs(law.pmf_table - geometric).sum() + 1.0 - geometric.sum())
         assert tv < 1e-5
+
+
+class TestCache:
+    def test_chunked_table_matches_one_block(self, tmp_path, monkeypatch):
+        # 1000 terms a chunk: a few orders at a time, several chunks per doubling
+        monkeypatch.setattr(mixing, "CACHE_CHUNK", 1000)
+        nu = 2.0
+        law = MixingLaw(_load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu), 150.0)
+        pmf = np.exp(law._log_pmf_block(np.arange(1, len(law.pmf_table) + 1)))
+        assert len(pmf) == 4096 and 1000 // len(law.model.measure[0]) < 64
+        assert law.pmf_table.tobytes() == pmf.tobytes()
+        assert law.cdf_table.tobytes() == np.cumsum(pmf).tobytes()
+        assert law.mass == float(np.cumsum(pmf)[-1])
+
+    def test_memory_bounded_at_the_order_cap(self):
+        # h(w) = sqrt(w) to w = 5e4: the table runs to 262144 orders of 76
+        # components, 2e7 terms, without holding them at once
+        z = np.concatenate([[0.0], np.logspace(-4, 5, 400)])
+        model = fit_transform(z, np.exp(-2.0 * np.sqrt(z / 2.0)), 2.0)
+        tracemalloc.start()
+        try:
+            law = MixingLaw(model, 150.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(law.pmf_table) * len(model.measure[0]) >= mixing.CACHE_N_CAP
+        assert peak < 150e6
 
 
 class TestValidation:

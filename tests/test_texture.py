@@ -16,6 +16,7 @@ from cgclutter import (
     simulate_discrete_windowed,
     windowed_process,
 )
+from cgclutter.texture import _grid_length
 
 
 class TestSimConfig:
@@ -126,6 +127,29 @@ class TestWindowedProcess:
                 assert got == pytest.approx(m[active].sum(), rel=1e-9, abs=1e-9 * m.sum()), t
 
 
+class TestTexturePath:
+    @pytest.mark.parametrize("ct", [[0.0, np.nan, 3.0], [np.nan, 1.0, 3.0],
+                                    [-np.inf, 1.0, 3.0], []])
+    def test_rejects_missing_nan_or_unbounded_change_times(self, ct):
+        with pytest.raises(ValueError, match="change_times"):
+            TexturePath(np.array(ct), np.ones(len(ct)), 5.0)
+
+    def test_rejects_nan_values(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TexturePath(np.array([0.0, 1.0, 3.0]), np.array([1.0, np.nan, 2.0]), 5.0)
+
+
+def search_every_grid_point(path, dt, duration):
+    """Reference: a binary search for each grid time i*dt."""
+    t = np.arange(_grid_length(duration, dt)) * dt
+    return path.values[np.clip(np.searchsorted(path.change_times, t, "right") - 1, 0, None)]
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestSampleOnGrid:
     def test_right_continuous_sampling(self):
         path = TexturePath(np.array([0.0, 1.0, 2.5]), np.array([1.0, 4.0, 2.0]), 5.0)
@@ -151,6 +175,41 @@ class TestSampleOnGrid:
         got = sample_on_grid(TexturePath(ct, vals, grid[-1]), dt, grid[-1])
         want = [vals[np.flatnonzero(ct <= t)[-1]] for t in grid]
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_search_per_grid_point(self, data):
+        dt = data.draw(st.floats(1e-3, 2.0))
+        n = data.draw(st.integers(1, 200))
+        grid = np.arange(n) * dt
+        # change times on grid points and one ulp either side, where the
+        # product i*dt decides the sample, plus a first time either side of 0
+        on = grid[data.draw(st.lists(st.integers(0, n - 1), max_size=20))]
+        ct = np.unique(np.concatenate([
+            [data.draw(st.floats(-3.0, 3.0)) * dt],
+            on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+            data.draw(st.lists(st.floats(-dt, grid[-1] + dt), max_size=10)),
+        ]))
+        path = TexturePath(ct, np.arange(1.0, len(ct) + 1), grid[-1])
+        duration = data.draw(st.floats(0.0, 2.0)) * grid[-1]  # shorter and longer
+        for d in (None, duration):
+            assert_bitwise_equal(sample_on_grid(path, dt, d),
+                                 search_every_grid_point(path, dt, grid[-1] if d is None else d))
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.floats(1e-3, 2.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_search_on_a_million_points(self, dt, seed):
+        rng = np.random.default_rng(seed)
+        n = 10 ** 6 - int(rng.integers(0, 10))
+        grid = np.arange(n) * dt
+        end = grid[-4:]  # changes at and around the last grid points
+        ct = np.unique(np.concatenate([
+            [0.0], rng.uniform(0.0, grid[-1], 1000),
+            end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf), [grid[-1] + dt],
+        ]))
+        path = TexturePath(ct, rng.random(len(ct)), grid[-1])
+        assert_bitwise_equal(sample_on_grid(path, dt),
+                             search_every_grid_point(path, dt, grid[-1]))
 
 
 class TestSimulate:
