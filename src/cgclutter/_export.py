@@ -8,16 +8,14 @@ memory a write needs beyond its columns does not grow with their length.
 The digits are computed by numpy, a block at a time, with no Python object
 per value.  For |x| in [1e-4, 1e17) ``%.17g`` prints positional digits:
 the 17 significant ones are round(|x| * 10**k) for the k that puts the
-product in [1e16, 1e17).  The product is taken in ``np.longdouble``,
-where 10**k (k <= 21) is exact, so with a 64-bit mantissa and a product
-below 2**57 its error is at most 2**-8: rounding it gives the correctly
-rounded digits unless its fraction lies within 2**-7 of one half.  Those
-values, |x| outside [1e-4, 1e17) (every exponent-form field), NaN and
-±inf, and every value where the long double has a shorter mantissa go
-through ``"%.17g" % v`` itself, about 0.9 % of the values of a default
-``simulate --events --clutter``.  The digits, sign and point of each field
-are then laid out in a fixed-width cell padded with spaces, which never
-occur in a field, and the padding is deleted.
+product in [1e16, 1e17).  10**k (k <= 20) is an exact double, and
+Dekker's two-product splits |x| * 10**k exactly into a double hi plus a
+double lo.  hi >= 1e16 > 2**53 is an even integer, so hi + rint(lo) is
+the product rounded half to even, as ``%.17g`` rounds.  Only |x| outside
+[1e-4, 1e17) (every exponent-form field), NaN and ±inf go through
+``"%.17g" % v`` itself.  The digits, sign and point of each field are then
+laid out in a fixed-width cell padded with spaces, which never occur in a
+field, and the padding is deleted.
 """
 
 from __future__ import annotations
@@ -31,14 +29,8 @@ import numpy as np
 # within run-to-run noise and the whole process peaked at 165-169 MB RSS.
 BLOCK_ROWS = 4096
 
-# Where False (a long double no wider than a double) every value takes the
-# `%` route.
-EXACT_DIGITS = np.finfo(np.longdouble).nmant >= 63
-
-# 128 * 10**k, exact in a 64-bit-mantissa long double; the factor 128 keeps
-# seven fraction bits of the product when it is truncated to an integer.
-_SCALED_POW10 = (np.array([10.0**k for k in range(22)]) * 128).astype(np.longdouble)
-_E8 = np.uint64(10**8)
+_POW10 = np.array([float(10**k) for k in range(22)])  # exact doubles
+_E8 = 10**8
 _WIDTH = 24  # the longest `%.17g` field: "-1.2345678901234567e-308"
 # bytes of a value's source row; its 17 digits sit at 3..19
 _MINUS, _POINT, _ZERO, _PAD, _SEP = 0, 1, 2, 20, 21
@@ -73,27 +65,54 @@ def _tables():
     return quads, zeros, layout.reshape(-1, _WIDTH + 1)
 
 
-def _rows(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float64 block."""
-    quads, zeros, layout = _tables()
-    x = block.ravel()
+def _split(v):
+    """v = hi + lo with hi holding the top 26 bits (Veltkamp)."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, k):
+    """a * 10**k as hi + lo exactly: Dekker's two-product."""
+    ah, al = _split(a)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _digits(x):
+    """The 17 significant digits d and decimal exponent e of each x, and
+    where they are exact; elsewhere the value takes the `%` route."""
     a = np.abs(x)
-    exact = (a >= 1e-4) & (a < 1e17) & EXACT_DIGITS
+    exact = (a >= 1e-4) & (a < 1e17)
     a = np.where(exact, a, 1.0)
-    # k puts |x| * 10**k in [1e16, 1e17); where log10 is one off next to a
-    # power of ten the product lands just outside and the value takes `%`
+    # k puts |x| * 10**k in [1e16, 1e17)
     k = 16 - np.minimum(np.floor(np.log10(a)), 16).astype(np.intp)
-    # w = floor(128 * |x| * 10**k): the digits above its low 7 bits, and
-    # the fraction in 128ths below; 63 and 64 lie within 2**-7 of one half
-    w = np.multiply(a, _SCALED_POW10[k], dtype=np.longdouble).astype(np.uint64)
-    frac = w & np.uint64(127)
-    d = (w >> np.uint64(7)) + (frac >= 64)
-    exact &= (w >= 128 * 10**16) & (d < 10**17) & ((frac < 63) | (frac > 64))
+    hi, lo = _times_pow10(a, k)
+    # next to a power of ten log10 can round up to it, leaving the product
+    # below 1e16: those take one power more (hi + lo is exact, so is the test)
+    low = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    k[low] += 1
+    hi[low], lo[low] = _times_pow10(a[low], k[low])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # no double has 17 digits that round up to 1e17; this guards against a
+    # log10 that rounds down at a power of ten
+    exact &= d < 10**17
     # ±0 print as 0 and -0: one zero digit at exponent 0
     zero = x == 0.0
     exact |= zero
     d[zero] = 0
-    e = 16 - k
+    return d, 16 - k, exact
+
+
+def _rows(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float64 block."""
+    quads, zeros, layout = _tables()
+    x = block.ravel()
+    d, e, exact = _digits(x)
 
     # the 17 digits as a lead digit and four groups of four
     hi = d // _E8

@@ -37,6 +37,7 @@ __all__ = [
 CACHE_TARGET_MASS = 1.0 - 1e-10
 CACHE_N_CAP = 10 ** 7
 CACHE_CHUNK = 2 ** 18  # orders x components evaluated at once: 2 MB per temporary
+LOGSERIES_BLOCK = 2 ** 15  # uniform doubles drawn at once by `_logseries`
 
 
 def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
@@ -150,7 +151,7 @@ def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
     if law.model.family == "rational":
         return rng.geometric(law._geom_p, size=size)
     if law.model.family == "logarithmic":
-        return rng.logseries(law._log_p, size=size)
+        return _logseries(rng, law._log_p, size)
     if law.mass < CACHE_TARGET_MASS:
         raise ValueError(
             f"cached PMF mass {law.mass!r} is short of {CACHE_TARGET_MASS!r}; "
@@ -158,6 +159,60 @@ def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
         )
     u = rng.random(size=size)
     return np.searchsorted(law.cdf_table, u, side="left") + 1
+
+
+def _logseries(rng: np.random.Generator, p: float, size=None):
+    """`rng.logseries(p, size)`, draws and generator state alike, a block
+    of doubles at a time.
+
+    numpy's sampler (Kemp 1981) loops per draw: it reads a double V and
+    returns 1 if V >= p; else it reads a double U, sets
+    q = -expm1(U log1p(-p)) and returns floor(1 + log V / log q) if
+    V <= q^2 (retrying if V == 0 or that is below 1), 1 if V >= q, else 2.
+    Which doubles are V's follows from the doubles alone: the one after a
+    double >= p is a V (it follows a V >= p or a U), and along a run of
+    doubles < p, V's and U's alternate.  Every draw reads at least one
+    double, so a block of as many doubles as draws still owed is never
+    too many; a V left without its U is carried into the next block.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p < 0, p >= 1 or p is NaN")
+    total = 1 if size is None else math.prod(np.atleast_1d(size))
+    r = math.log1p(-p)
+    out = np.empty(total, dtype=np.int64)
+    done = 0
+    d = np.empty(0)
+    while done < total:
+        d = np.concatenate([d, rng.random(min(total - done, LOGSERIES_BLOCK))])
+        m = len(d)
+        # the V's: each run [start, end) after a double >= p (and the
+        # first) holds its V's at start, start + 2, ...
+        ends = np.flatnonzero(d >= p) + 1
+        counts = (np.diff(ends, prepend=0, append=m) + 1) // 2
+        firsts = np.concatenate([[0], ends]) - 2 * (np.cumsum(counts) - counts)
+        at = 2 * np.arange(counts.sum()) + np.repeat(firsts, counts)
+        v = d[at]
+        two = np.flatnonzero(v < p)
+        carry = d[m:]
+        if len(two) and at[two[-1]] == m - 1:
+            carry = d[m - 1:]
+            two, v = two[:-1], v[:-1]
+        vt = v[two]
+        q = -np.expm1(r * d[at[two] + 1])
+        kt = np.where(vt >= q, 1, 2)
+        big = np.flatnonzero(vt <= q * q)
+        vb = vt[big]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kb = np.floor(1 + np.log(vb) / np.log(q[big]))
+        # 0 marks a retry
+        kt[big] = np.where((kb >= 1) & (vb != 0), kb, 0)
+        k = np.ones(len(v), dtype=np.int64)
+        k[two] = kt
+        k = k[k > 0]
+        out[done:done + len(k)] = k
+        done += len(k)
+        d = carry
+    return int(out[0]) if size is None else out.reshape(size)
 
 
 # ---------------------------------------------------------------------------

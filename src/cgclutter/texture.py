@@ -102,7 +102,8 @@ class TexturePath:
             raise ValueError("change_times must start with a finite time")
         # "all ok" rather than "any bad", so that NaN, which fails every
         # comparison, is refused
-        if not np.all(np.diff(self.change_times) > 0):
+        ct = self.change_times
+        if not np.all(ct[1:] > ct[:-1]):
             raise ValueError("change_times must be strictly increasing")
         if not np.all(self.values >= 0):
             raise ValueError("texture values must be nonnegative")
@@ -137,15 +138,16 @@ def poisson_arrivals(rate: float, t_end: float, rng: np.random.Generator,
     t = t_start
     block = int(expected + 6.0 * np.sqrt(expected + 1.0) + 16.0)
     while True:
-        gaps = rng.exponential(1.0 / rate, size=block)
-        times = t + np.cumsum(gaps)
+        times = rng.exponential(1.0 / rate, size=block)
+        np.cumsum(times, out=times)
+        times += t
         chunks.append(times)
         t = times[-1]
         if t > t_end:
             break
         block = max(block // 4, 16)
-    arr = np.concatenate(chunks)
-    return arr[arr <= t_end]
+    arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return arr[:np.searchsorted(arr, t_end, side="right")]
 
 
 def windowed_process(arrivals, marks, window: float, duration: float) -> TexturePath:
@@ -154,6 +156,7 @@ def windowed_process(arrivals, marks, window: float, duration: float) -> Texture
     An arrival a with mark m contributes m on [a - T, a).  Times where the
     active-mark count returns to zero are pinned to an exact 0.0 so the
     zero atom of the finite-activity law survives floating accumulation.
+    Arrivals must be sorted.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     marks = np.asarray(marks, dtype=float)
@@ -162,26 +165,36 @@ def windowed_process(arrivals, marks, window: float, duration: float) -> Texture
     n = len(arrivals)
     if n == 0:
         return TexturePath(np.array([0.0]), np.array([0.0]), duration)
+    if not np.all(arrivals[1:] >= arrivals[:-1]):
+        raise ValueError("arrivals must be sorted")
 
-    times = np.concatenate([arrivals - window, arrivals])
-    deltas = np.concatenate([marks, -marks])
-    steps = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
+    times = arrivals - window
+    # The stable sort puts an enter before a leave at the same time and
+    # keeps the leaves in arrival order, so the window is empty right
+    # after the leave of arrival i exactly when arrival i + 1 enters later
+    # (or i is the last arrival).
+    empty = np.append(times[1:] > arrivals[:-1], True)
+    times = np.concatenate([times, arrivals])
     order = np.argsort(times, kind="stable")
     times = times[order]
-    vals = np.cumsum(deltas[order])
-    active = np.cumsum(steps[order])
-    vals[active == 0] = 0.0
-    vals = np.maximum(vals, 0.0)
+    vals = np.concatenate([marks, -marks])[order]
+    leaves = np.flatnonzero(order >= n)[empty]
+    del order, empty
+    np.cumsum(vals, out=vals)
+    vals[leaves] = 0.0
+    np.maximum(vals, 0.0, out=vals)
 
-    i0 = np.searchsorted(times, 0.0, side="right") - 1
-    v0 = vals[i0] if i0 >= 0 else 0.0
-    keep = (times > 0.0) & (times <= duration)
-    ct = np.concatenate([[0.0], times[keep]])
-    cv = np.concatenate([[v0], vals[keep]])
+    lo, hi = np.searchsorted(times, [0.0, duration], side="right")
+    v0 = vals[lo - 1] if lo > 0 else 0.0
+    times, vals = times[lo:hi], vals[lo:hi]
     # collapse coincident event times, keeping the final value at each
-    last = np.ones(len(ct), dtype=bool)
-    last[:-1] = ct[1:] != ct[:-1]
-    return TexturePath(ct[last], cv[last], duration)
+    last = np.ones(len(times), dtype=bool)
+    last[:-1] = times[1:] != times[:-1]
+    ct = np.concatenate([[0.0], times[last]])
+    del times
+    cv = np.concatenate([[v0], vals[last]])
+    del vals
+    return TexturePath(ct, cv, duration)
 
 
 def simulate_finite_exact(model: BernsteinModel, cfg: SimConfig,

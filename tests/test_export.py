@@ -100,12 +100,17 @@ def differential_sample():
     return np.concatenate([values, -values])
 
 
-@pytest.mark.parametrize("exact_digits", [True, False], ids=["kernel", "percent-only"])
-def test_matches_percent_17g(exact_digits, monkeypatch):
-    # percent-only: where the long double is a double (Apple silicon) every
-    # value takes the `%` route; force that route here too
-    if not exact_digits:
-        monkeypatch.setattr(_export, "EXACT_DIGITS", False)
+def test_matches_percent_17g():
     x = differential_sample()
     want = "x\n" + "".join(["%.17g\n" % v for v in x.tolist()])
     assert_same(written(["x"], [x]), want)
+
+
+def test_only_exponent_form_and_non_finite_take_percent():
+    # no double in [1e-4, 1e17) has 17 digits that round up to 1e17: the
+    # doubles next to a power of ten lie more than half a unit in the 17th
+    # digit from it, so the numpy digits serve that whole range
+    x = differential_sample()
+    a = np.abs(x)
+    _, _, exact = _export._digits(x)
+    np.testing.assert_array_equal(~exact, ~np.isfinite(x) | ((a != 0) & ((a < 1e-4) | (a >= 1e17))))

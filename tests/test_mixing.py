@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -161,6 +162,31 @@ class TestSampling:
         k = sample_k(law, rng, size=200_000)
         assert k.min() >= 1
         assert k.mean() == pytest.approx(10.0, rel=0.02)
+
+
+def generator_state(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+class TestLogseries:
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.9, 150 / 151, 1 - 1e-9])
+    def test_logseries_matches_numpy(self, bitgen, p):
+        # draws and generator state after each call, across block edges
+        want, got = np.random.Generator(bitgen(17)), np.random.Generator(bitgen(17))
+        block = mixing.LOGSERIES_BLOCK
+        for size in (None, 0, 1, 2, block - 1, block + 1, 2 * block - 1, 2 * block + 1, 300_000,
+                     (3, 5)):
+            k, j = want.logseries(p, size), mixing._logseries(got, p, size)
+            assert type(j) is type(k) and np.shape(j) == np.shape(k)
+            assert np.asarray(j).dtype == np.asarray(k).dtype
+            np.testing.assert_array_equal(j, k)
+            assert generator_state(got) == generator_state(want), size
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, np.nan])
+    def test_logseries_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            mixing._logseries(np.random.default_rng(0), p, 3)
 
 
 class TestContinuousMixing:

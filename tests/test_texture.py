@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,47 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             poisson_arrivals(0.0, 1.0, np.random.default_rng(0))
 
+    def test_memory_per_arrival(self):
+        # one block of gaps summed in place: the block is the output
+        rng = np.random.default_rng(0)
+        peak, a = traced_peak(poisson_arrivals, 1.25, 8e5, rng)
+        assert len(a) > 9e5
+        assert peak / len(a) < 12
+
+
+def traced_peak(f, *args):
+    """Peak bytes that f(*args) allocates, and its result."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def reference_window_sweep(arrivals, marks, window, duration):
+    """The sweep as first written: an active-count array beside the sums,
+    and a boolean mask for (0, duration]."""
+    n = len(arrivals)
+    times = np.concatenate([arrivals - window, arrivals])
+    deltas = np.concatenate([marks, -marks])
+    steps = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    vals = np.cumsum(deltas[order])
+    active = np.cumsum(steps[order])
+    vals[active == 0] = 0.0
+    vals = np.maximum(vals, 0.0)
+
+    i0 = np.searchsorted(times, 0.0, side="right") - 1
+    v0 = vals[i0] if i0 >= 0 else 0.0
+    keep = (times > 0.0) & (times <= duration)
+    ct = np.concatenate([[0.0], times[keep]])
+    cv = np.concatenate([[v0], vals[keep]])
+    last = np.ones(len(ct), dtype=bool)
+    last[:-1] = ct[1:] != ct[:-1]
+    return ct[last], cv[last]
+
 
 class TestWindowedProcess:
     def test_hand_worked_example(self):
@@ -97,6 +139,38 @@ class TestWindowedProcess:
     def test_rejects_misaligned_marks(self):
         with pytest.raises(ValueError):
             windowed_process([1.0, 2.0], [1.0], 1.0, 5.0)
+
+    @pytest.mark.parametrize("a", [[2.0, 1.0], [1.0, np.nan]])
+    def test_rejects_unsorted_arrivals(self, a):
+        with pytest.raises(ValueError, match="sorted"):
+            windowed_process(a, [1.0, 1.0], 1.0, 5.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_reference_sweep(self, data):
+        window = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 4.0))
+        duration = data.draw(st.sampled_from([1.0, 5.0]) | st.floats(0.5, 12.0))
+        # a pool with points a window apart, so enters tie with leaves,
+        # reaching before 0 and past duration
+        base = data.draw(st.lists(st.floats(-window, duration + window), min_size=1,
+                                  max_size=6))
+        pool = base + [b + window for b in base] + [b - window for b in base] + [
+            0.0, window, duration, duration + window]
+        a = np.sort(data.draw(st.lists(st.sampled_from(pool), max_size=30)))
+        mark = st.floats(0.0, 10.0) | st.integers(0, 5).map(float)
+        m = np.array(data.draw(st.lists(mark, min_size=len(a), max_size=len(a))), dtype=float)
+        path = windowed_process(a, m, window, duration)
+        ct, cv = reference_window_sweep(a, m, window, duration)
+        assert_bitwise_equal(path.change_times, ct)
+        assert_bitwise_equal(path.values, cv)
+
+    def test_memory_per_arrival(self):
+        rng = np.random.default_rng(1)
+        a = poisson_arrivals(1.25, 8e5, rng)
+        m = rng.logseries(150 / 151, len(a)).astype(float)
+        peak, path = traced_peak(windowed_process, a, m, 8.0, 8e5 - 8.0)
+        assert len(path.change_times) > 1e6
+        assert peak / len(a) < 100
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
