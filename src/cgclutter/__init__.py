@@ -15,7 +15,6 @@ from .bernstein import (
     check_bernstein,
     fit_bernstein,
     from_lst,
-    limit_transform,
     make_builtin_finite,
     make_builtin_infinite,
 )
@@ -35,11 +34,9 @@ from .mixing import (
     ContinuousMixing,
     MixingLaw,
     continuous_mixing,
-    mean_k,
     pgf_k,
     pmf_k,
     sample_k,
-    second_moment_k,
 )
 from .speckle import AR1, ClutterSeries, CustomACF, SpeckleSpec, White, compose, gen_speckle
 from .texture import (
@@ -49,9 +46,6 @@ from .texture import (
     poisson_arrivals,
     sample_on_grid,
     simulate,
-    simulate_discrete_windowed,
-    simulate_finite_exact,
-    simulate_infinite_approx,
     windowed_process,
 )
 

@@ -30,7 +30,6 @@ __all__ = [
     "fit_bernstein",
     "levy_log_moments",
     "check_bernstein",
-    "limit_transform",
 ]
 
 # Numerical policy for the side-condition checks (absolute slacks).
@@ -38,7 +37,8 @@ ZERO_TOL = 1e-12           # |h(0)| must be below this
 SUBLINEAR_PROBE = 1e8      # probe point for h(z)/z -> 0
 SUBLINEAR_TOL = 1e-4       # h(probe)/probe must be below this
 SIGN_TOL = 1e-9            # allowed negative excursion in sign checks
-FIT_TOL = 1e-6             # largest relative miss fit_bernstein accepts
+MAX_ORDER = 4              # sign alternation is checked for derivatives 1..MAX_ORDER+1
+FIT_TOL = 1e-6             # largest relative miss of a fit, and |h1 - 1| of a table's
 FIT_SHAPES = (1.0, 4.0, 16.0)  # gamma shapes of the fit's Levy densities
 FIT_NODES = np.logspace(-4, 6, 201)  # w at which from_lst and hand-built models are fitted
 
@@ -171,8 +171,9 @@ def fit_transform(z, g, nu) -> BernsteinModel:
     """Fit h(w) = -ln G(nu w) / nu from samples g = G(z) at z >= 0, z[0] = 0.
 
     G must be the Laplace-Stieltjes transform of a unit-mean law, so
-    G(0) = 1 and 0 <= G <= 1.  Nodes where G rounds to 1 (h = 0) or
-    underflows to 0 (h infinite) are dropped; the rest go to `fit_bernstein`.
+    G(0) = 1, 0 <= G <= 1 and the fitted h'(0) = 1 within FIT_TOL.  Nodes
+    where G rounds to 1 (h = 0) or underflows to 0 (h infinite) are dropped;
+    the rest go to `fit_bernstein`.
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
@@ -182,7 +183,11 @@ def fit_transform(z, g, nu) -> BernsteinModel:
     if not np.all((g >= 0.0) & (g <= 1.0 + 1e-12)):
         raise ValueError("G values must lie in [0, 1]")
     keep = (g > 0.0) & (g < 1.0)
-    return fit_bernstein(z[keep] / nu, -np.log(g[keep]) / nu)
+    model = fit_bernstein(z[keep] / nu, -np.log(g[keep]) / nu)
+    if not abs(model.h1 - 1.0) <= FIT_TOL:
+        raise ValueError(f"the table is not a unit-mean law's transform: the fitted "
+                         f"h'(0) = h1 = {model.h1:.6g}, not 1 within {FIT_TOL:g}")
+    return model
 
 
 def from_lst(G_of_z: Callable, nu: float) -> BernsteinModel:
@@ -274,14 +279,6 @@ class ConditionResult:
     margin: float
     location: float
 
-    def to_record(self) -> dict:
-        return {
-            "condition": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "location": self.location,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -291,9 +288,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    def to_records(self) -> list:
-        return [c.to_record() for c in self.conditions]
-
     def __str__(self):
         lines = []
         for c in self.conditions:
@@ -302,10 +296,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def check_bernstein(model: BernsteinModel, grid, max_order: int = 4) -> ValidationReport:
+def check_bernstein(model: BernsteinModel, grid) -> ValidationReport:
     """Check the side conditions of a Bernstein model on a probe grid.
 
-    Conditions: h(0) = 0, sign alternation of derivatives 1..max_order+1
+    Conditions: h(0) = 0, sign alternation of derivatives 1..MAX_ORDER+1
     (complete monotonicity of h'), sublinear growth, h'(0) > 0,
     h''(0) <= 0, and the finite-activity plateau when claimed.  Failures
     are reported, never raised.
@@ -324,7 +318,7 @@ def check_bernstein(model: BernsteinModel, grid, max_order: int = 4) -> Validati
     conds.append(ConditionResult("h1_positive", model.h1 > 0, model.h1, 0.0))
     conds.append(ConditionResult("h2_nonpositive", model.h2 <= 0, model.h2, 0.0))
 
-    for n in range(max_order + 1):
+    for n in range(MAX_ORDER + 1):
         worst = math.inf
         worst_z = grid[0]
         sign = 1.0 if n % 2 == 0 else -1.0
@@ -365,7 +359,3 @@ class LimitTransform:
         arr = _as_float_array(z)
         out = np.exp(-self.nu * self.model._fn(arr / (self.nu * self.model.h1)))
         return float(out) if np.ndim(z) == 0 else out
-
-
-def limit_transform(model: BernsteinModel, nu: float) -> LimitTransform:
-    return LimitTransform(model, nu)

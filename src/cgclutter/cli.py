@@ -166,7 +166,7 @@ def cmd_simulate(args, parser) -> int:
     manifest_json.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     outputs.append(str(manifest_json))
 
-    samples = sample_on_grid(path, cfg.dt, cfg.duration)
+    samples = sample_on_grid(path, cfg.dt)
     summ = summarize(samples, cfg.dt, 0.0)
     print(f"mode={cfg.mode} nu={cfg.nu:g} samples={summ.n}")
     print(f"mean={summ.mean:.6g} variance={summ.variance:.6g} "
@@ -204,7 +204,7 @@ def cmd_validate(args, parser) -> int:
         if "marginal" in suites or "covariance" in suites:
             # one path and one grid serve both sample-based suites
             cfg = _sim_config(args, model, gamma, window, seed)
-            samples = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
+            samples = sample_on_grid(simulate(model, cfg), cfg.dt)
         checks = {
             "marginal": lambda: validation.marginal_checks(samples, law, cfg),
             "covariance": lambda: validation.covariance_checks(samples, model, cfg),
@@ -236,21 +236,20 @@ def cmd_lawtable(args, parser) -> int:
                 parser.error("--nu is required for texture laws")
             law = k_texture_law(nu) if args.law == "k-texture" else gamma_texture_law(nu)
             xs = np.linspace(0.0, args.x_max, args.points)
-            write_csv(out, ["x", "pdf", "cdf"], xs,
-                      [law.pdf(x) for x in xs], [law.cdf(x) for x in xs])
+            write_csv(out, ["x", "pdf", "cdf"], xs, law.pdf(xs), law.cdf(xs))
         else:
             if args.nu is None:
                 parser.error("--nu is required")
+            ns = range(args.n_max + 1)
             if args.law == "polya-aeppli":
                 if args.p is None:
                     parser.error("--p is required for the polya-aeppli law")
-                pmf = lambda n: polya_aeppli_pmf(args.nu, args.p, n)
+                pmf = [polya_aeppli_pmf(args.nu, args.p, n) for n in ns]
             else:
                 if args.nbar is None:
                     parser.error("--nbar is required for the negbin law")
-                pmf = lambda n: negbin_pmf(args.nu, args.nbar, n)
-            ns = range(args.n_max + 1)
-            write_csv(out, ["n", "pmf"], ns, [pmf(n) for n in ns])
+                pmf = negbin_pmf(args.nu, args.nbar, ns)
+            write_csv(out, ["n", "pmf"], ns, pmf)
     finally:
         if out is not sys.stdout:
             out.close()

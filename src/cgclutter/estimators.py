@@ -26,15 +26,6 @@ class EmpiricalSummary:
     zero_fraction: float
     autocov: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "zero_fraction": self.zero_fraction,
-            "autocov": [[lag, val] for lag, val in self.autocov],
-        }
-
 
 def summarize(samples, dt: float, max_lag: float) -> EmpiricalSummary:
     """Mean, variance, exact-zero fraction and autocovariance of a series.

@@ -25,11 +25,8 @@ from .bernstein import FIT_NODES, BernsteinModel, fit_bernstein, levy_log_moment
 __all__ = [
     "MixingLaw",
     "ContinuousMixing",
-    "pmf_from_derivatives",
     "pgf_k",
     "pmf_k",
-    "mean_k",
-    "second_moment_k",
     "sample_k",
     "continuous_mixing",
 ]
@@ -38,15 +35,6 @@ CACHE_TARGET_MASS = 1.0 - 1e-10
 CACHE_N_CAP = 10 ** 7
 CACHE_CHUNK = 2 ** 18  # orders x components evaluated at once: 2 MB per temporary
 LOGSERIES_BLOCK = 2 ** 15  # uniform doubles drawn at once by `_logseries`
-
-
-def pmf_from_derivatives(model: BernsteinModel, kappa: float, n: int) -> float:
-    """PMF of K straight from the derivative formula, in the log domain."""
-    if n == 0:
-        return 0.0
-    d = (-1.0) ** (n + 1) * model.nth_derivative(n, kappa)  # >= 0 for a Bernstein h
-    log_scale = n * math.log(kappa) - gammaln(n + 1.0) - math.log(model(kappa))
-    return math.copysign(math.exp(math.log(abs(d)) + log_scale), d) if d else 0.0
 
 
 def _with_measure(model: BernsteinModel) -> BernsteinModel:
@@ -136,14 +124,6 @@ def pmf_k(law: MixingLaw, n: int) -> float:
     if n == 0:
         return 0.0
     return float(np.exp(law._log_pmf_block(np.array([n]))[0]))
-
-
-def mean_k(law: MixingLaw) -> float:
-    return law.mean
-
-
-def second_moment_k(law: MixingLaw) -> float:
-    return law.second_moment
 
 
 def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):

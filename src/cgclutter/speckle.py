@@ -135,6 +135,6 @@ def compose(path: TexturePath, speckle: np.ndarray, dt: float) -> ClutterSeries:
             f"speckle length {n} does not match the grid implied by dt and "
             f"the path duration (expected {expected})"
         )
-    tau = sample_on_grid(path, dt, path.duration)
+    tau = sample_on_grid(path, dt)
     t = np.arange(n) * dt
     return ClutterSeries(t=t, z=np.sqrt(tau) * speckle, tau=tau)

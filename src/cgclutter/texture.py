@@ -16,7 +16,6 @@ Three generation modes:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -32,9 +31,6 @@ __all__ = [
     "TexturePath",
     "poisson_arrivals",
     "windowed_process",
-    "simulate_finite_exact",
-    "simulate_infinite_approx",
-    "simulate_discrete_windowed",
     "simulate",
     "sample_on_grid",
 ]
@@ -74,17 +70,6 @@ class SimConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "SimConfig":
-        return SimConfig(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "SimConfig":
-        return SimConfig.from_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class TexturePath:
@@ -113,29 +98,27 @@ class TexturePath:
             write_csv(f, ["change_time", "value"], self.change_times, self.values)
 
     def export_grid_csv(self, path, dt: float):
-        vals = sample_on_grid(self, dt, self.duration)
+        vals = sample_on_grid(self, dt)
         with open(path, "w", newline="") as f:
             write_csv(f, ["t", "tau"], np.arange(len(vals)) * dt, vals)
 
 
-def poisson_arrivals(rate: float, t_end: float, rng: np.random.Generator,
-                     t_start: float = 0.0) -> np.ndarray:
-    """Arrival times of a homogeneous Poisson process on (t_start, t_end].
+def poisson_arrivals(rate: float, t_end: float, rng: np.random.Generator) -> np.ndarray:
+    """Arrival times of a homogeneous Poisson process on (0, t_end].
 
     Generated as the running sum of exponential gaps of mean 1/rate.
     """
     if not rate > 0:
         raise ValueError("rate must be positive")
-    span = t_end - t_start
-    if span <= 0:
+    if t_end <= 0:
         return np.array([])
-    if rate * span > ARRIVAL_BUDGET:
+    expected = rate * t_end
+    if expected > ARRIVAL_BUDGET:
         raise ArrivalBudgetError(
-            f"expected arrival count {rate * span:.3g} exceeds budget {ARRIVAL_BUDGET:.0e}"
+            f"expected arrival count {expected:.3g} exceeds budget {ARRIVAL_BUDGET:.0e}"
         )
-    expected = rate * span
     chunks = []
-    t = t_start
+    t = 0.0
     block = int(expected + 6.0 * np.sqrt(expected + 1.0) + 16.0)
     while True:
         times = rng.exponential(1.0 / rate, size=block)
@@ -197,61 +180,38 @@ def windowed_process(arrivals, marks, window: float, duration: float) -> Texture
     return TexturePath(ct, cv, duration)
 
 
-def simulate_finite_exact(model: BernsteinModel, cfg: SimConfig,
-                          rng: np.random.Generator) -> TexturePath:
-    """Exact realization of the finite-activity limit process.
+def simulate(model: BernsteinModel, cfg: SimConfig,
+             rng: np.random.Generator | None = None) -> TexturePath:
+    """The texture path of `model` in the mode `cfg.mode` names.
 
-    Arrivals at rate gamma*C; marks are xi/nu' with xi the continuous
-    mixing variable and nu' = gamma*C*T, making the path mean one.
+    finite-exact marks are xi/nu' with nu' = gamma*C*T, so the path has
+    mean one.  The integer-window modes record the mean window sum nbar as
+    the path's normalization; infinite-approx divides by it.
     """
-    mix = continuous_mixing(model)  # rejects infinite activity
-    lam = cfg.gamma * model.activity.limit
-    nu_prime = lam * cfg.window
-    arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
-    marks = mix.sample(rng, size=len(arrivals)) / nu_prime
-    return windowed_process(arrivals, marks, cfg.window, cfg.duration)
-
-
-def _integer_window(model, cfg, rng):
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    if cfg.mode == "finite-exact":
+        mix = continuous_mixing(model)  # rejects infinite activity
+        lam = cfg.gamma * model.activity.limit
+        arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
+        marks = mix.sample(rng, size=len(arrivals)) / (lam * cfg.window)
+        return windowed_process(arrivals, marks, cfg.window, cfg.duration)
+    if cfg.mode == "infinite-approx":
+        if cfg.kappa < 10:
+            raise ValueError("kappa below 10 is outside the supported approximation range")
+        if cfg.kappa < 100:
+            warnings.warn(
+                "kappa below 100: the compound-Poisson approximation of the "
+                "infinite-activity limit is coarse", stacklevel=2)
     law = MixingLaw(model, cfg.kappa)
     lam = cfg.gamma * law.h_kappa
     arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
     marks = np.asarray(sample_k(law, rng, size=len(arrivals)), dtype=float)
+    path = windowed_process(arrivals, marks, cfg.window, cfg.duration)
+    del arrivals, marks  # freed before the division allocates a second values array
     nbar = lam * cfg.window * law.mean
-    return windowed_process(arrivals, marks, cfg.window, cfg.duration), nbar
-
-
-def simulate_infinite_approx(model: BernsteinModel, cfg: SimConfig,
-                             rng: np.random.Generator) -> TexturePath:
-    """Normalized integer-window approximation of the infinite-activity limit."""
-    if cfg.kappa < 10:
-        raise ValueError("kappa below 10 is outside the supported approximation range")
-    if cfg.kappa < 100:
-        warnings.warn(
-            "kappa below 100: the compound-Poisson approximation of the "
-            "infinite-activity limit is coarse", stacklevel=2)
-    path, nbar = _integer_window(model, cfg, rng)
-    return TexturePath(path.change_times, path.values / nbar, cfg.duration,
-                       normalization=nbar)
-
-
-def simulate_discrete_windowed(model: BernsteinModel, cfg: SimConfig,
-                               rng: np.random.Generator) -> TexturePath:
-    """Un-normalized integer window process (values are whole counts)."""
-    path, nbar = _integer_window(model, cfg, rng)
-    return TexturePath(path.change_times, path.values, cfg.duration,
-                       normalization=nbar)
-
-
-def simulate(model: BernsteinModel, cfg: SimConfig,
-             rng: np.random.Generator | None = None) -> TexturePath:
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if cfg.mode == "finite-exact":
-        return simulate_finite_exact(model, cfg, rng)
-    if cfg.mode == "infinite-approx":
-        return simulate_infinite_approx(model, cfg, rng)
-    return simulate_discrete_windowed(model, cfg, rng)
+    values = path.values / nbar if cfg.mode == "infinite-approx" else path.values
+    return TexturePath(path.change_times, values, cfg.duration, normalization=nbar)
 
 
 def _grid_length(duration: float, dt: float) -> int:
@@ -260,8 +220,8 @@ def _grid_length(duration: float, dt: float) -> int:
     return int(np.floor(duration / dt + 1e-9)) + 1
 
 
-def sample_on_grid(path: TexturePath, dt: float, duration: float | None = None) -> np.ndarray:
-    """Right-continuous samples tau(i*dt) for i = 0 .. floor(duration/dt).
+def sample_on_grid(path: TexturePath, dt: float) -> np.ndarray:
+    """Right-continuous samples tau(i*dt) for i = 0 .. floor(path.duration/dt).
 
     Searches per change point, not per grid point: change c_j first holds
     at grid index pos_j = #{i : i*dt < c_j}, and each value is repeated
@@ -270,9 +230,7 @@ def sample_on_grid(path: TexturePath, dt: float, duration: float | None = None) 
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if duration is None:
-        duration = path.duration
-    n = max(_grid_length(duration, dt), 0)
+    n = max(_grid_length(path.duration, dt), 0)
     ct = path.change_times
     pos = np.clip(np.ceil(ct / dt), 0, n).astype(np.intp)
     # ceil(c/dt) can miss by a step where c/dt rounds; correct it against the

@@ -16,7 +16,7 @@ from .bernstein import LimitTransform
 from .estimators import ks_distance, summarize
 from .laws import (gamma_texture_law, gaussian_limit_distance, k_texture_law,
                    lst_moments, texture_cov)
-from .mixing import MixingLaw, mean_k, pgf_k
+from .mixing import MixingLaw, pgf_k
 
 # G(z) -> e^-z is a statement about nu -> infinity, so it is checked at one
 # large shape whatever shape a run uses
@@ -81,7 +81,7 @@ def covariance_checks(samples, model, cfg) -> list:
 
 def moment_checks(model, nu: float) -> list:
     """G(0) = 1 exactly, unit mean, and E tau^2 - 1 = -h2/nu."""
-    m0, m1, m2 = lst_moments(LimitTransform(model, nu), 2)
+    m0, m1, m2 = lst_moments(LimitTransform(model, nu))
     return [_check("G_at_0", m0, 1.0, 0.0, inclusive=True),
             _check("first_moment", m1, 1.0, 1e-6),
             _check("excess_second_moment", m2 - 1.0, -model.h2 / nu, 1e-4)]
@@ -93,8 +93,7 @@ def mixing_checks(model, kappa: float) -> list:
     ns = np.arange(1.0, len(law.pmf_table) + 1.0)
     rows = [_check(f"pgf_vs_pmf_u_{u:g}", float(np.dot(law.pmf_table, u ** ns)),
                    pgf_k(law, u), 1e-8) for u in (0.25, 0.5, 0.9)]
-    mean = mean_k(law)
-    rows.append(_check("mean_k", float(np.dot(law.pmf_table, ns)), mean, 1e-6 * mean))
+    rows.append(_check("mean_k", float(np.dot(law.pmf_table, ns)), law.mean, 1e-6 * law.mean))
     return rows
 
 

@@ -52,7 +52,7 @@ def finite_run():
     # finite builtin at nu=2: gamma=0.25, T=8, 1e5 time units on a 0.1 grid
     cfg = SimConfig(gamma=0.25, window=8.0, duration=1e5, dt=0.1, seed=20260823)
     path = simulate(make_builtin_finite(), cfg)
-    return cfg, sample_on_grid(path, cfg.dt, cfg.duration)
+    return cfg, sample_on_grid(path, cfg.dt)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def infinite_run():
     cfg = SimConfig(gamma=0.25, window=8.0, duration=1e5, dt=0.1, seed=20260824,
                     mode="infinite-approx", kappa=150.0)
     path = simulate(make_builtin_infinite(), cfg)
-    return cfg, sample_on_grid(path, cfg.dt, cfg.duration)
+    return cfg, sample_on_grid(path, cfg.dt)
 
 
 def _count_snapshots(model, kappa, n_snapshots, spacing, seed, chunks=10):
@@ -111,7 +111,7 @@ def test_02_zero_atom(announce):
     # at nu=0.75 the marginal has mass e^-0.75 at exactly zero
     cfg = SimConfig(gamma=0.25, window=3.0, duration=1e5, dt=0.1, seed=41)
     path = simulate(make_builtin_finite(), cfg)
-    frac = summarize(sample_on_grid(path, cfg.dt, cfg.duration), 0.1, 0.0).zero_fraction
+    frac = summarize(sample_on_grid(path, cfg.dt), 0.1, 0.0).zero_fraction
     want = math.exp(-0.75)
     ok = abs(frac - want) <= 0.01
     announce(2, ok, f"zero-atom fraction {frac:.4f} within 0.01 of {want:.4f}")
@@ -223,7 +223,7 @@ def test_08_gaussian_limit(announce):
     sup_ok = all(r.ok for r in sups)
     # composed clutter at nu=1e3: excess kurtosis of Re z is 6/nu + noise
     cfg = SimConfig(gamma=1.0, window=1000.0, duration=1e6 - 1, dt=1.0, seed=83)
-    tau = sample_on_grid(simulate(make_builtin_finite(), cfg), cfg.dt, cfg.duration)
+    tau = sample_on_grid(simulate(make_builtin_finite(), cfg), cfg.dt)
     rng = np.random.default_rng(84)
     re_z = np.sqrt(tau) * rng.standard_normal(len(tau)) * math.sqrt(0.5)
     m2 = np.mean(re_z ** 2)

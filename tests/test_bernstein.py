@@ -12,7 +12,6 @@ from cgclutter import (
     check_bernstein,
     fit_bernstein,
     from_lst,
-    limit_transform,
     make_builtin_finite,
     make_builtin_infinite,
 )
@@ -97,9 +96,9 @@ class TestCheckBernstein:
 
     def test_report_records(self):
         report = check_bernstein(make_builtin_finite(), GRID)
-        recs = report.to_records()
-        assert all({"condition", "passed", "margin", "location"} <= set(r) for r in recs)
-        names = [r["condition"] for r in recs]
+        assert all(isinstance(c.passed, bool) and math.isfinite(c.margin)
+                   and math.isfinite(c.location) for c in report.conditions)
+        names = [c.name for c in report.conditions]
         assert "finite_activity_plateau" in names
 
 
@@ -111,7 +110,7 @@ class TestLimitTransform:
         assert G(3.0) == pytest.approx(math.exp(-2.0 * (1.5 / 2.5)), rel=1e-14)
 
     def test_factory(self):
-        G = limit_transform(make_builtin_infinite(), 4.0)
+        G = LimitTransform(make_builtin_infinite(), 4.0)
         # exp(-nu ln(1 + z/nu)) = (1 + z/nu)^-nu
         assert G(1.0) == pytest.approx(1.25 ** -4.0, rel=1e-14)
 

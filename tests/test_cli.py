@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cgclutter import mixing
 from cgclutter.cli import main
 
 SIM = ["simulate", "--model", "finite-k", "--gamma", "0.25", "--T", "8",
@@ -95,13 +96,12 @@ class TestSimulate:
         assert code == 3
         assert err.count("\n") == 1 and str(missing) in err
 
-    def test_short_k_cache_exit_3(self, tmp_path, capsys):
-        # h(w) = sqrt(w) up to w = 5e4: h'(0) is infinite, so K's cache
-        # stops short of its target mass and sampling K is refused
-        z = np.concatenate([[0.0], np.logspace(-4, 5, 400)])
-        table = tmp_path / "sqrt.csv"
-        table.write_text("".join(f"{zi:.17g},{gi:.17g}\n"
-                                 for zi, gi in zip(z, np.exp(-2.0 * np.sqrt(z / 2.0)))))
+    def test_short_k_cache_exit_3(self, tmp_path, capsys, monkeypatch):
+        # with the cache capped at 1000 terms, the logarithmic-like K of the
+        # fitted ln(1+z) at kappa 150 stops short of its target mass, and
+        # sampling K is refused
+        monkeypatch.setattr(mixing, "CACHE_N_CAP", 1000)
+        table = lst_table(tmp_path / "lst.csv", np.log1p)
         code = run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
                     "--duration", "200", "--mode", "infinite-approx", "--out", tmp_path / "s"])
         err = capsys.readouterr().err
@@ -200,6 +200,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and str(missing) in err
+
+
+# transforms of laws without unit mean, h(w) = -ln G(2w)/2: mean 2 (h1 = 2)
+# and infinite mean (h'(0) infinite; the fit reads h1 of about 580)
+NOT_UNIT_MEAN = {"mean-2": lambda w: 2.0 * w / (w + 1.0), "infinite-mean": np.sqrt}
+
+
+@pytest.mark.parametrize("command", [["simulate", "--out", "sim"], ["validate"]],
+                         ids=["simulate", "validate"])
+@pytest.mark.parametrize("h", NOT_UNIT_MEAN.values(), ids=NOT_UNIT_MEAN.keys())
+def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = lst_table(tmp_path / "lst.csv", h)
+    code = run([*command, "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                "--duration", "200"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "h1 = " in err and err.count("\n") == 1
+    assert not (tmp_path / "sim").exists()
 
 
 class TestLawtable:

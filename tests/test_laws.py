@@ -154,7 +154,7 @@ class TestTransformMoments:
         # G(z) = (1 + z/nu)^-nu has moments 1, 1, 1 + 1/nu
         nu = 4.0
         G = LimitTransform(make_builtin_infinite(), nu)
-        m0, m1, m2 = lst_moments(G, 2)
+        m0, m1, m2 = lst_moments(G)
         assert m0 == 1.0
         assert m1 == pytest.approx(1.0, abs=1e-6)
         assert m2 == pytest.approx(1.0 + 1.0 / nu, abs=1e-4)
@@ -162,13 +162,9 @@ class TestTransformMoments:
     def test_finite_builtin_second_moment(self):
         nu = 2.0
         G = LimitTransform(make_builtin_finite(), nu)
-        _, m1, m2 = lst_moments(G, 2)
+        _, m1, m2 = lst_moments(G)
         assert m1 == pytest.approx(1.0, abs=1e-6)
         assert m2 - 1.0 == pytest.approx(2.0 / nu, abs=1e-4)  # -h2/nu
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            lst_moments(LimitTransform(make_builtin_finite(), 1.0), 3)
 
 
 class TestGaussianLimit:

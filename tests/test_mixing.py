@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from cgclutter import (
     MixingLaw,
@@ -12,18 +12,25 @@ from cgclutter import (
     continuous_mixing,
     make_builtin_finite,
     make_builtin_infinite,
-    mean_k,
     pgf_k,
     pmf_k,
     sample_k,
     sample_on_grid,
-    second_moment_k,
     simulate,
 )
 from cgclutter import mixing
-from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, fit_transform, from_lst
+from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, from_lst
 from cgclutter.cli import _load_lst_table
-from cgclutter.mixing import pmf_from_derivatives
+
+
+def pmf_from_derivatives(model, kappa, n):
+    """PMF of K straight from the derivative formula, in the log domain:
+    p(n) = -(-kappa)^n h^(n)(kappa) / (n! h(kappa))."""
+    if n == 0:
+        return 0.0
+    d = (-1.0) ** (n + 1) * model.nth_derivative(n, kappa)  # >= 0 for a Bernstein h
+    log_scale = n * math.log(kappa) - gammaln(n + 1.0) - math.log(model(kappa))
+    return math.copysign(math.exp(math.log(abs(d)) + log_scale), d) if d else 0.0
 
 
 def finite_table(path, nu):
@@ -104,33 +111,33 @@ class TestPgfAndMoments:
     def test_mean_formula(self):
         # E[K] = kappa h1 / h(kappa): geometric mean is kappa + 1
         law = MixingLaw(make_builtin_finite(), 9.0)
-        assert mean_k(law) == pytest.approx(10.0, rel=1e-14)
+        assert law.mean == pytest.approx(10.0, rel=1e-14)
         law = MixingLaw(make_builtin_infinite(), 150.0)
-        assert mean_k(law) == pytest.approx(150.0 / math.log(151.0), rel=1e-14)
+        assert law.mean == pytest.approx(150.0 / math.log(151.0), rel=1e-14)
 
     def test_mean_matches_pmf_sum(self):
         for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 150.0)):
             law = MixingLaw(model, kappa)
             ns = np.arange(1.0, len(law.pmf_table) + 1.0)
             assert float(np.dot(law.pmf_table, ns)) == pytest.approx(
-                mean_k(law), rel=1e-6
+                law.mean, rel=1e-6
             )
 
     def test_second_moment_geometric(self):
         # brute-force sum for kappa=1 (p=1/2) gives E[K^2] = (2-p)/p^2 = 6
         law = MixingLaw(make_builtin_finite(), 1.0)
-        assert second_moment_k(law) == pytest.approx(6.0, rel=1e-12)
+        assert law.second_moment == pytest.approx(6.0, rel=1e-12)
 
     def test_second_moment_logarithmic(self):
         # brute-force sum for kappa=1 (p=1/2) gives 2/ln 2
         law = MixingLaw(make_builtin_infinite(), 1.0)
-        assert second_moment_k(law) == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
+        assert law.second_moment == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
 
     def test_second_moment_matches_pmf_sum(self):
         law = MixingLaw(make_builtin_infinite(), 20.0)
         ns = np.arange(1.0, len(law.pmf_table) + 1.0)
         assert float(np.dot(law.pmf_table, ns ** 2)) == pytest.approx(
-            second_moment_k(law), rel=1e-6
+            law.second_moment, rel=1e-6
         )
 
 
@@ -140,8 +147,8 @@ class TestSampling:
         rng = np.random.default_rng(11)
         k = sample_k(law, rng, size=200_000)
         assert k.min() >= 1
-        assert k.mean() == pytest.approx(mean_k(law), rel=0.02)
-        assert np.mean(k.astype(float) ** 2) == pytest.approx(second_moment_k(law), rel=0.05)
+        assert k.mean() == pytest.approx(law.mean, rel=0.02)
+        assert np.mean(k.astype(float) ** 2) == pytest.approx(law.second_moment, rel=0.05)
 
     def test_logarithmic_sampler_pmf(self):
         law = MixingLaw(make_builtin_infinite(), 1.0)
@@ -231,7 +238,7 @@ class TestContinuousMixing:
         model = _load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu)
         x = continuous_mixing(model).sample(np.random.default_rng(8), size=100_000)
         cfg = SimConfig(gamma=0.25, window=8.0, duration=2e4, dt=0.1, seed=3)
-        tau = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
+        tau = sample_on_grid(simulate(model, cfg), cfg.dt)
         assert (x.mean(), tau.mean(), tau.var()) == pytest.approx((1.0, 1.0, 1.0), rel=0.1)
 
     def test_tabulated_transform_cluster_sizes_are_geometric(self, tmp_path):
@@ -262,8 +269,8 @@ class TestCache:
     def test_memory_bounded_at_the_order_cap(self):
         # h(w) = sqrt(w) to w = 5e4: the table runs to 262144 orders of 76
         # components, 2e7 terms, without holding them at once
-        z = np.concatenate([[0.0], np.logspace(-4, 5, 400)])
-        model = fit_transform(z, np.exp(-2.0 * np.sqrt(z / 2.0)), 2.0)
+        w = np.logspace(-4, 5, 400) / 2.0
+        model = fit_bernstein(w, np.sqrt(w))
         tracemalloc.start()
         try:
             law = MixingLaw(model, 150.0)

@@ -14,7 +14,6 @@ from cgclutter import (
     poisson_arrivals,
     sample_on_grid,
     simulate,
-    simulate_discrete_windowed,
     windowed_process,
 )
 from cgclutter.texture import _grid_length
@@ -28,8 +27,7 @@ class TestSimConfig:
     def test_json_roundtrip(self):
         cfg = SimConfig(gamma=0.5, window=4.0, duration=50.0, dt=0.05, seed=9,
                         mode="infinite-approx", kappa=120.0)
-        assert SimConfig.from_json(cfg.to_json()) == cfg
-        assert json.loads(cfg.to_json())["mode"] == "infinite-approx"
+        assert SimConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     @pytest.mark.parametrize("kw", [
         {"gamma": 0.0}, {"window": -1.0}, {"duration": 0.0}, {"dt": 0.0},
@@ -53,7 +51,7 @@ class TestPoissonArrivals:
 
     def test_empty_span(self):
         rng = np.random.default_rng(0)
-        assert len(poisson_arrivals(1.0, 1.0, rng, t_start=2.0)) == 0
+        assert len(poisson_arrivals(1.0, -1.0, rng)) == 0
 
     def test_budget_guard(self):
         rng = np.random.default_rng(0)
@@ -133,7 +131,7 @@ class TestWindowedProcess:
         # two arrivals at the same instant produce one change point
         path = windowed_process([2.0, 2.0], [1.0, 4.0], window=1.0, duration=5.0)
         assert np.all(np.diff(path.change_times) > 0)
-        vals = sample_on_grid(path, 0.25, 5.0)
+        vals = sample_on_grid(path, 0.25)
         assert vals[5] == 5.0  # t = 1.25, inside [1, 2)
 
     def test_rejects_misaligned_marks(self):
@@ -213,9 +211,9 @@ class TestTexturePath:
             TexturePath(np.array([0.0, 1.0, 3.0]), np.array([1.0, np.nan, 2.0]), 5.0)
 
 
-def search_every_grid_point(path, dt, duration):
+def search_every_grid_point(path, dt):
     """Reference: a binary search for each grid time i*dt."""
-    t = np.arange(_grid_length(duration, dt)) * dt
+    t = np.arange(_grid_length(path.duration, dt)) * dt
     return path.values[np.clip(np.searchsorted(path.change_times, t, "right") - 1, 0, None)]
 
 
@@ -227,12 +225,12 @@ def assert_bitwise_equal(got, want):
 class TestSampleOnGrid:
     def test_right_continuous_sampling(self):
         path = TexturePath(np.array([0.0, 1.0, 2.5]), np.array([1.0, 4.0, 2.0]), 5.0)
-        got = sample_on_grid(path, 0.5, 5.0)
+        got = sample_on_grid(path, 0.5)
         np.testing.assert_array_equal(got, [1, 1, 4, 4, 4, 2, 2, 2, 2, 2, 2])
 
     def test_grid_length(self):
         path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
-        assert len(sample_on_grid(path, 0.1, 10.0)) == 101
+        assert len(sample_on_grid(path, 0.1)) == 101
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -246,7 +244,7 @@ class TestSampleOnGrid:
         off = data.draw(st.lists(st.floats(0.0, grid[-1], exclude_min=True), max_size=10))
         ct = np.unique(np.concatenate([[0.0], grid[on], off]))
         vals = np.arange(1.0, len(ct) + 1)  # distinct, so a wrong pick shows
-        got = sample_on_grid(TexturePath(ct, vals, grid[-1]), dt, grid[-1])
+        got = sample_on_grid(TexturePath(ct, vals, grid[-1]), dt)
         want = [vals[np.flatnonzero(ct <= t)[-1]] for t in grid]
         np.testing.assert_array_equal(got, want)
 
@@ -264,11 +262,10 @@ class TestSampleOnGrid:
             on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
             data.draw(st.lists(st.floats(-dt, grid[-1] + dt), max_size=10)),
         ]))
-        path = TexturePath(ct, np.arange(1.0, len(ct) + 1), grid[-1])
         duration = data.draw(st.floats(0.0, 2.0)) * grid[-1]  # shorter and longer
-        for d in (None, duration):
-            assert_bitwise_equal(sample_on_grid(path, dt, d),
-                                 search_every_grid_point(path, dt, grid[-1] if d is None else d))
+        for d in (grid[-1], duration):
+            path = TexturePath(ct, np.arange(1.0, len(ct) + 1), d)
+            assert_bitwise_equal(sample_on_grid(path, dt), search_every_grid_point(path, dt))
 
     @settings(max_examples=5, deadline=None)
     @given(st.floats(1e-3, 2.0), st.integers(0, 2 ** 32 - 1))
@@ -283,14 +280,14 @@ class TestSampleOnGrid:
         ]))
         path = TexturePath(ct, rng.random(len(ct)), grid[-1])
         assert_bitwise_equal(sample_on_grid(path, dt),
-                             search_every_grid_point(path, dt, grid[-1]))
+                             search_every_grid_point(path, dt))
 
 
 class TestSimulate:
     def test_finite_exact_moments(self):
         model = make_builtin_finite()
         cfg = SimConfig(gamma=0.25, window=8.0, duration=50_000.0, dt=0.1, seed=3)
-        tau = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
+        tau = sample_on_grid(simulate(model, cfg), cfg.dt)
         assert tau.mean() == pytest.approx(1.0, abs=0.05)
         assert tau.var() == pytest.approx(1.0, abs=0.12)  # Var = -h2/nu = 1
 
@@ -298,7 +295,7 @@ class TestSimulate:
         model = make_builtin_infinite()
         cfg = SimConfig(gamma=0.25, window=8.0, duration=50_000.0, dt=0.1, seed=3,
                         mode="infinite-approx", kappa=150.0)
-        tau = sample_on_grid(simulate(model, cfg), cfg.dt, cfg.duration)
+        tau = sample_on_grid(simulate(model, cfg), cfg.dt)
         assert tau.mean() == pytest.approx(1.0, abs=0.05)
         assert tau.var() == pytest.approx(0.5, abs=0.08)  # Var = -h2/nu = 1/2
 
