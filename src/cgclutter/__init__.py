@@ -8,7 +8,6 @@ closed-form counterpart.
 """
 
 from .bernstein import (
-    Activity,
     BernsteinModel,
     LimitTransform,
     ValidationReport,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,14 +18,11 @@ import numpy as np
 
 from . import __version__, validation
 from ._export import write_csv
-from .bernstein import (BernsteinModel, check_bernstein, fit_transform, make_builtin_finite,
-                        make_builtin_infinite)
+from .bernstein import BernsteinModel, fit_transform, make_builtin_finite, make_builtin_infinite
 from .estimators import summarize
 from .laws import gamma_texture_law, k_texture_law, negbin_pmf, polya_aeppli_pmf
 from .speckle import AR1, SpeckleSpec, White, compose, gen_speckle
 from .texture import ArrivalBudgetError, SimConfig, _grid_length, sample_on_grid, simulate
-
-CHECK_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +42,11 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_shape(args, parser):
-    """Resolve (gamma, T, nu) from any consistent pair of flags."""
+    """Resolve (gamma, T, nu) from any consistent pair of positive flags."""
     gamma, window, nu = args.gamma, args.window, args.nu
+    for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu)):
+        if v is not None and not v > 0:
+            parser.error(f"{flag} must be positive, not {v:g}")
     given = sum(v is not None for v in (gamma, window, nu))
     if given == 3 and abs(gamma * window - nu) > 1e-9 * max(nu, 1.0):
         parser.error("--gamma, --T and --nu are mutually inconsistent")
@@ -77,31 +78,29 @@ def _load_lst_table(path, nu) -> BernsteinModel:
     return fit_transform(z, g, nu)
 
 
-def _checked_model(args, nu) -> BernsteinModel:
-    """The model the flags name, once its Bernstein side conditions hold.
-
-    Raises ValueError otherwise, which the commands report as exit 3.
+def _model(args, nu) -> BernsteinModel:
+    """The builtin the flags name, or the Levy measure (c >= 0) fitted to the
+    table: Bernstein by construction.  A table that fits no unit-mean law
+    raises ValueError, which the commands report as exit 3.
     """
     if args.model == "finite-k":
-        model = make_builtin_finite()
-    elif args.model == "infinite-gamma":
-        model = make_builtin_infinite()
-    elif not args.lst_file:
+        return make_builtin_finite()
+    if args.model == "infinite-gamma":
+        return make_builtin_infinite()
+    if not args.lst_file:
         raise ValueError("--model custom-lst requires --lst-file")
-    else:
-        model = _load_lst_table(args.lst_file, nu)
-    report = check_bernstein(model, CHECK_GRID)
-    if not report.passed:
-        raise ValueError(f"Bernstein side conditions do not hold\n{report}")
-    return model
+    return _load_lst_table(args.lst_file, nu)
 
 
-def _sim_config(args, model, gamma, window, seed, mode=None) -> SimConfig:
-    """SimConfig from the flags; without --mode the model's activity picks it."""
+def _sim_config(args, parser, model, gamma, window, seed, mode=None) -> SimConfig:
+    """SimConfig from the flags; without --mode the model's Levy mass picks it."""
     if mode is None:
-        mode = "finite-exact" if model.activity.finite else "infinite-approx"
-    return SimConfig(gamma=gamma, window=window, duration=args.duration,
-                     dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
+        mode = "finite-exact" if math.isfinite(model.C) else "infinite-approx"
+    try:
+        return SimConfig(gamma=gamma, window=window, duration=args.duration,
+                         dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _refused(exc) -> int:
@@ -113,9 +112,15 @@ def _refused(exc) -> int:
     return 3
 
 
-def _seed_from(args) -> int:
+def _seed_from(args, parser) -> int:
     env = os.environ.get("CLUTTER_SEED")
-    return int(env) if env else args.seed
+    try:
+        seed = int(env) if env else args.seed
+    except ValueError:
+        parser.error(f"CLUTTER_SEED={env!r} is not an integer")
+    if seed < 0:
+        parser.error(f"the seed must be nonnegative, not {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +129,10 @@ def _seed_from(args) -> int:
 
 def cmd_simulate(args, parser) -> int:
     gamma, window = _resolve_shape(args, parser)
-    seed = _seed_from(args)
+    seed = _seed_from(args, parser)
     try:
-        model = _checked_model(args, gamma * window)
-        cfg = _sim_config(args, model, gamma, window, seed, args.mode)
+        model = _model(args, gamma * window)
+        cfg = _sim_config(args, parser, model, gamma, window, seed, args.mode)
         path = simulate(model, cfg)
     except (ArrivalBudgetError, ValueError) as exc:
         return _refused(exc)
@@ -190,11 +195,11 @@ SUITES = ("marginal", "covariance", "moments", "gaussian-limit")
 
 def cmd_validate(args, parser) -> int:
     gamma, window = _resolve_shape(args, parser)
-    seed = _seed_from(args)
+    seed = _seed_from(args, parser)
     nu = gamma * window
     suites = SUITES if args.suite == "all" else (args.suite,)
     try:
-        model = _checked_model(args, nu)
+        model = _model(args, nu)
         law = validation.marginal_law(model, nu) if "marginal" in suites else None
         if law is None and "marginal" in suites:
             if args.suite == "marginal":
@@ -203,7 +208,7 @@ def cmd_validate(args, parser) -> int:
             suites = SUITES[1:]  # --suite all still runs the other three
         if "marginal" in suites or "covariance" in suites:
             # one path and one grid serve both sample-based suites
-            cfg = _sim_config(args, model, gamma, window, seed)
+            cfg = _sim_config(args, parser, model, gamma, window, seed)
             samples = sample_on_grid(simulate(model, cfg), cfg.dt)
         checks = {
             "marginal": lambda: validation.marginal_checks(samples, law, cfg),

@@ -205,7 +205,6 @@ class ContinuousMixing:
 
     cdf: Callable
     _sampler: Callable
-    mean: float = 1.0
 
     def sample(self, rng: np.random.Generator, size=None):
         return self._sampler(rng, size)
@@ -217,7 +216,7 @@ def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
     Rejects infinite-activity models: their normalized cluster sizes
     collapse to a point mass at zero in the limit.
     """
-    if not model.activity.finite:
+    if not math.isfinite(model.C):
         raise ValueError(
             "continuous mixing exists only for finite-activity models; "
             "infinite-activity cluster sizes degenerate to zero"
@@ -235,9 +234,8 @@ def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
     # transform 1 - h((C/h1) z)/C, term by term
     model = _with_measure(model)
     c, k, x = model.measure
-    C = model.activity.limit
-    weights = c / C
-    theta = (C / model.h1) * x / k
+    weights = c / model.C
+    theta = (model.C / model.h1) * x / k
 
     def cdf(s):
         return gammainc(k, np.asarray(s, dtype=float)[..., None] / theta) @ weights

@@ -78,7 +78,6 @@ class TexturePath:
     change_times: np.ndarray
     values: np.ndarray
     duration: float
-    normalization: float = 1.0
 
     def __post_init__(self):
         if len(self.change_times) != len(self.values):
@@ -185,14 +184,14 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
     """The texture path of `model` in the mode `cfg.mode` names.
 
     finite-exact marks are xi/nu' with nu' = gamma*C*T, so the path has
-    mean one.  The integer-window modes record the mean window sum nbar as
-    the path's normalization; infinite-approx divides by it.
+    mean one.  infinite-approx divides the integer window sums by their
+    mean nbar; discrete-windowed keeps them as they are.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if cfg.mode == "finite-exact":
         mix = continuous_mixing(model)  # rejects infinite activity
-        lam = cfg.gamma * model.activity.limit
+        lam = cfg.gamma * model.C
         arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
         marks = mix.sample(rng, size=len(arrivals)) / (lam * cfg.window)
         return windowed_process(arrivals, marks, cfg.window, cfg.duration)
@@ -208,10 +207,11 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
     arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
     marks = np.asarray(sample_k(law, rng, size=len(arrivals)), dtype=float)
     path = windowed_process(arrivals, marks, cfg.window, cfg.duration)
+    if cfg.mode == "discrete-windowed":
+        return path
     del arrivals, marks  # freed before the division allocates a second values array
     nbar = lam * cfg.window * law.mean
-    values = path.values / nbar if cfg.mode == "infinite-approx" else path.values
-    return TexturePath(path.change_times, values, cfg.duration, normalization=nbar)
+    return TexturePath(path.change_times, path.values / nbar, cfg.duration)
 
 
 def _grid_length(duration: float, dt: float) -> int:

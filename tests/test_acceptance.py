@@ -14,7 +14,6 @@ import pytest
 from scipy.integrate import quad
 
 from cgclutter import (
-    Activity,
     BernsteinModel,
     MixingLaw,
     SimConfig,
@@ -252,10 +251,10 @@ def test_10_bernstein_validation(announce):
     ok_i = check_bernstein(make_builtin_infinite(), GRID).passed
     square = BernsteinModel(lambda z: np.asarray(z, dtype=float) ** 2,
                             lambda n, z: {1: 2 * z, 2: 2.0}.get(n, 0.0),
-                            h1=1.0, h2=0.0, activity=Activity.infinite(), name="z^2")
+                            h1=1.0, h2=0.0)
     identity = BernsteinModel(lambda z: np.asarray(z, dtype=float),
                               lambda n, z: 1.0 if n == 1 else 0.0,
-                              h1=1.0, h2=0.0, activity=Activity.infinite(), name="z")
+                              h1=1.0, h2=0.0)
     rej_sq = not check_bernstein(square, GRID).passed
     rej_id = not check_bernstein(identity, GRID).passed
     ok = ok_f and ok_i and rej_sq and rej_id

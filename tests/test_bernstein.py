@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgclutter import (
-    Activity,
     BernsteinModel,
     LimitTransform,
     MixingLaw,
@@ -28,14 +27,14 @@ class TestBuiltins:
         assert h(1.0) == 0.5
         assert h(3.0) == 0.75
         assert h.h1 == 1.0 and h.h2 == -2.0
-        assert h.activity.finite and h.activity.limit == 1.0
+        assert h.C == 1.0
 
     def test_infinite_values(self):
         h = make_builtin_infinite()
         assert h(0.0) == 0.0
         assert h(math.e - 1.0) == pytest.approx(1.0, rel=1e-15)
         assert h.h1 == 1.0 and h.h2 == -1.0
-        assert not h.activity.finite
+        assert h.C == math.inf
 
     def test_finite_derivatives_match_formula(self):
         h = make_builtin_finite()
@@ -64,6 +63,11 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make_builtin_finite()(-0.5)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_mass(self, C):
+        with pytest.raises(ValueError, match="Levy mass"):
+            BernsteinModel(np.log1p, lambda n, z: 0.0, h1=1.0, h2=-1.0, C=C)
+
     def test_array_evaluation(self):
         h = make_builtin_finite()
         z = np.array([0.0, 1.0, 3.0])
@@ -78,7 +82,7 @@ class TestCheckBernstein:
 
     def test_rejects_square(self):
         bad = BernsteinModel(lambda z: z ** 2, lambda n, z: {1: 2 * z, 2: 2.0}.get(n, 0.0),
-                             h1=1.0, h2=0.0, activity=Activity.infinite(), name="z^2")
+                             h1=1.0, h2=0.0)
         report = check_bernstein(bad, GRID)
         assert not report.passed
         failed = {c.name for c in report.conditions if not c.passed}
@@ -88,7 +92,7 @@ class TestCheckBernstein:
     def test_rejects_identity(self):
         bad = BernsteinModel(lambda z: np.asarray(z, dtype=float),
                              lambda n, z: 1.0 if n == 1 else 0.0,
-                             h1=1.0, h2=0.0, activity=Activity.infinite(), name="z")
+                             h1=1.0, h2=0.0)
         report = check_bernstein(bad, GRID)
         assert not report.passed
         failed = {c.name for c in report.conditions if not c.passed}
@@ -127,8 +131,7 @@ class TestFromLst:
         model = from_lst(G, nu)
         z = np.array([0.0, 0.3, 1.0, 5.0, 40.0])
         np.testing.assert_allclose(model(z), ref(z), rtol=1e-12, atol=1e-14)
-        assert model.activity.finite
-        assert model.activity.limit == pytest.approx(1.0, rel=1e-6)
+        assert model.C == pytest.approx(1.0, rel=1e-6)
         assert model.h2 == pytest.approx(-2.0, rel=1e-4)
 
     def test_recovers_log_model_as_infinite(self):
@@ -138,7 +141,7 @@ class TestFromLst:
         G = LimitTransform(make_builtin_infinite(), nu)
         model = from_lst(G, nu)
         assert model.family == "levy"
-        assert model.activity.finite and math.isfinite(model.activity.limit)
+        assert math.isfinite(model.C)
         assert (model.h1, model.h2) == pytest.approx((1.0, -1.0), rel=1e-6)
         assert check_bernstein(model, GRID).passed
 
@@ -179,10 +182,10 @@ class TestFitBernstein:
         # h = z/(z+1) is the unit exponential Levy density: C = h1 = 1, h2 = -2
         ref = make_builtin_finite()
         model = fit_bernstein(self.W, ref(self.W))
-        assert model.family == "levy" and model.activity.finite
+        assert model.family == "levy" and math.isfinite(model.C)
         off_nodes = np.logspace(-3.9, 5.9, 37)
         np.testing.assert_allclose(model(off_nodes), ref(off_nodes), rtol=1e-9)
-        assert (model.activity.limit, model.h1, model.h2) == pytest.approx(
+        assert (model.C, model.h1, model.h2) == pytest.approx(
             (1.0, 1.0, -2.0), rel=1e-6)
         for n in range(1, 6):
             for z in GRID:
@@ -193,7 +196,7 @@ class TestFitBernstein:
     def test_fits_non_completely_monotone_density(self):
         # Levy density 4s e^(-2s): h = 1 - 4/(w+2)^2, C = h1 = 1, h2 = -3/2
         model = fit_bernstein(self.W, 1.0 - 4.0 / (self.W + 2.0) ** 2)
-        assert (model.activity.limit, model.h1, model.h2) == pytest.approx(
+        assert (model.C, model.h1, model.h2) == pytest.approx(
             (1.0, 1.0, -1.5), rel=1e-6)
 
     def test_refuses_atomic_measure(self):

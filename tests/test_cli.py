@@ -14,9 +14,10 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def lst_table(path, h):
-    """G(z) = exp(-2 h(z/2)), the transform at nu = 2, at 400 log-spaced z."""
-    z = np.concatenate([[0.0], np.logspace(-4, 6, 400)])
+def lst_table(path, h, top=6):
+    """G(z) = exp(-2 h(z/2)), the transform at nu = 2, at 400 log-spaced z
+    from 1e-4 to 10**top."""
+    z = np.concatenate([[0.0], np.logspace(-4, top, 400)])
     G = np.exp(-2.0 * h(z / 2.0))
     path.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, G)))
     return path
@@ -184,6 +185,22 @@ class TestValidate:
         assert code == 0, out
         assert [line.split()[1] for line in out.splitlines()] == ROWS_WITHOUT_MARGINAL
 
+    @pytest.mark.parametrize("top", [7, 8])
+    def test_far_reaching_gamma_table_passes(self, top, tmp_path, capsys):
+        # G = (1 + z/2)^-2, the unit-mean gamma law of ln(1+z) at nu = 2,
+        # tabulated past 1e6: the fit is Bernstein by construction, so the
+        # distance from its plateau at z = 1e8 (where the table stops) is no
+        # reason to refuse it
+        table = lst_table(tmp_path / "lst.csv", np.log1p, top)
+        code = run(["validate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                    "--suite", "all"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["PASS", name] for name in ROWS_WITHOUT_MARGINAL]
+        assert run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                    "--duration", "200", "--out", tmp_path / "s"]) == 0
+
     def test_custom_lst_atomic_measure_exit_3(self, tmp_path, capsys):
         # h = 1 - e^-w has a unit atom at s = 1, which no sum of gamma
         # densities fits to 1e-6
@@ -219,6 +236,27 @@ def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "h1 = " in err and err.count("\n") == 1
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "finite-k", "--nu", "-2", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--dt", "0", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "-5", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--dt", "9", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--seed", "-1", "--out", "x"],
+    ["validate", "--model", "finite-k", "--nu", "-2", "--suite", "moments"],
+    ["CLUTTER_SEED=abc", "simulate", "--model", "finite-k", "--nu", "2", "--out", "x"],
+], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed"])
+def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if argv[0].startswith("CLUTTER_SEED="):
+        monkeypatch.setenv("CLUTTER_SEED", argv[0].split("=")[1])
+        argv = argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 class TestLawtable:

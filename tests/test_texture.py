@@ -305,9 +305,6 @@ class TestSimulate:
                         mode="discrete-windowed", kappa=9.0,)
         path = simulate(model, cfg)
         assert np.all(path.values == np.round(path.values))
-        assert path.normalization == pytest.approx(
-            0.25 * (9.0 / 10.0) * 8.0 * 10.0  # gamma h(kappa) T E[K]
-        )
 
     def test_same_seed_same_path(self):
         model = make_builtin_finite()
