@@ -10,8 +10,6 @@ closed-form counterpart.
 from .bernstein import (
     BernsteinModel,
     LimitTransform,
-    ValidationReport,
-    check_bernstein,
     fit_bernstein,
     from_lst,
     make_builtin_finite,

@@ -1,4 +1,4 @@
-"""Bernstein functions: evaluation, derivative access, validation, limit transform.
+"""Bernstein functions: evaluation, derivative access, fitting, limit transform.
 
 A Bernstein function here is a nonnegative function h on [0, inf) with
 h(0) = 0, completely monotonic first derivative, sublinear growth
@@ -11,7 +11,6 @@ texture marginal G(z) = exp(-nu * h(z / (nu * h1))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,24 +19,15 @@ from scipy.special import gammaln, logsumexp
 __all__ = [
     "BernsteinModel",
     "LimitTransform",
-    "ConditionResult",
-    "ValidationReport",
     "make_builtin_finite",
     "make_builtin_infinite",
     "from_lst",
     "fit_transform",
     "fit_bernstein",
     "levy_log_moments",
-    "check_bernstein",
 ]
 
-# Numerical policy for the side-condition checks (absolute slacks).
-ZERO_TOL = 1e-12           # |h(0)| must be below this
-SUBLINEAR_PROBE = 1e8      # probe point for h(z)/z -> 0
-SUBLINEAR_TOL = 1e-4       # h(probe)/probe must be below this
-SIGN_TOL = 1e-9            # allowed negative excursion in sign checks
-MAX_ORDER = 4              # sign alternation is checked for derivatives 1..MAX_ORDER+1
-FIT_TOL = 1e-6             # largest relative miss of a fit, and |h1 - 1| of a table's
+FIT_TOL = 1e-6  # largest relative miss of a fit, and |h1 - 1| of a table's
 FIT_SHAPES = (1.0, 4.0, 16.0)  # gamma shapes of the fit's Levy densities
 FIT_NODES = np.logspace(-4, 6, 201)  # w at which from_lst and hand-built models are fitted
 
@@ -56,9 +46,12 @@ class BernsteinModel:
     derivative for n >= 1.  C is finite for finite activity, `math.inf`
     otherwise.  A model is either a closed form (the two builtins) or
     fitted: `measure` is the Levy measure (c, k, x) of a model built by
-    `fit_bernstein`, None otherwise.
+    `fit_bernstein`, None otherwise.  Only the builtins and the fit set
+    `family` ("rational", "logarithmic", "levy"): `mixing` and
+    `validation` use the closed forms it names.
     """
 
+    family = None
     measure = None
 
     def __init__(
@@ -69,14 +62,12 @@ class BernsteinModel:
         h1: float,
         h2: float,
         C: float = math.inf,
-        family: str | None = None,
     ):
         self._fn = fn
         self._deriv = deriv
         self.h1 = float(h1)
         self.h2 = float(h2)
         self.C = float(C)
-        self.family = family
         if not self.h1 > 0:
             raise ValueError("h'(0) must be positive")
         if self.h2 > 0:
@@ -113,7 +104,9 @@ def make_builtin_finite() -> BernsteinModel:
     def deriv(n, z):  # (-1)^(n+1) n! (1+z)^-(n+1)
         return (-1.0) ** (n + 1) * float(np.exp(gammaln(n + 1.0) - (n + 1.0) * math.log1p(z)))
 
-    return BernsteinModel(fn, deriv, h1=1.0, h2=-2.0, C=1.0, family="rational")
+    model = BernsteinModel(fn, deriv, h1=1.0, h2=-2.0, C=1.0)
+    model.family = "rational"
+    return model
 
 
 def make_builtin_infinite() -> BernsteinModel:
@@ -122,7 +115,9 @@ def make_builtin_infinite() -> BernsteinModel:
     def deriv(n, z):  # (-1)^(n+1) (n-1)! (1+z)^-n
         return (-1.0) ** (n + 1) * float(np.exp(gammaln(float(n)) - n * math.log1p(z)))
 
-    return BernsteinModel(np.log1p, deriv, h1=1.0, h2=-1.0, family="logarithmic")
+    model = BernsteinModel(np.log1p, deriv, h1=1.0, h2=-1.0)
+    model.family = "logarithmic"
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,12 @@ def fit_bernstein(w, h) -> BernsteinModel:
     if not miss <= FIT_TOL:
         raise ValueError(f"no Levy measure fits the samples: the relative miss "
                          f"{miss:.3g} exceeds {FIT_TOL:g}")
-    c, k, x = measure = c[c > 0], k[c > 0], x[c > 0]
+    return _levy_model((c[c > 0], k[c > 0], x[c > 0]))
+
+
+def _levy_model(measure) -> BernsteinModel:
+    """h(z) = sum_j c_j (1 - (1 + z x_j / k_j)^-k_j) of a Levy measure (c, k, x), c > 0."""
+    c, k, x = measure
 
     def fn(z):
         return -np.expm1(-k * np.log1p(np.asarray(z)[..., None] * (x / k))) @ c
@@ -217,86 +217,9 @@ def fit_bernstein(w, h) -> BernsteinModel:
 
     model = BernsteinModel(fn, deriv, h1=float(c @ x),
                            h2=-float(np.sum(c * x ** 2 * (k + 1.0) / k)),
-                           C=float(c.sum()), family="levy")
-    model.measure = measure
+                           C=float(c.sum()))
+    model.family, model.measure = "levy", measure
     return model
-
-
-# ---------------------------------------------------------------------------
-# Validation report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionResult:
-    """One validated side condition.
-
-    `margin` is the worst observed value of the quantity the condition
-    constrains (its meaning is condition-specific and documented by
-    `name`); `location` is where the worst case occurred.
-    """
-
-    name: str
-    passed: bool
-    margin: float
-    location: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    conditions: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def __str__(self):
-        lines = []
-        for c in self.conditions:
-            flag = "pass" if c.passed else "FAIL"
-            lines.append(f"{flag}  {c.name:32s} margin={c.margin: .3e} at z={c.location:g}")
-        return "\n".join(lines)
-
-
-def check_bernstein(model: BernsteinModel, grid) -> ValidationReport:
-    """Check the side conditions of a Bernstein model on a probe grid.
-
-    Conditions: h(0) = 0, sign alternation of derivatives 1..MAX_ORDER+1
-    (complete monotonicity of h'), sublinear growth, and h -> C when C is
-    finite.  Failures are reported, never raised.  It is for hand-built
-    models: the builtins and fits are Bernstein by construction.
-    """
-    grid = [float(g) for g in grid]
-    conds = []
-
-    v0 = float(model(0.0))
-    conds.append(ConditionResult("zero_at_origin", abs(v0) < ZERO_TOL, abs(v0), 0.0))
-
-    ratio = float(model(SUBLINEAR_PROBE)) / SUBLINEAR_PROBE
-    conds.append(
-        ConditionResult("sublinear_growth", ratio < SUBLINEAR_TOL, ratio, SUBLINEAR_PROBE)
-    )
-
-    for n in range(MAX_ORDER + 1):
-        worst = math.inf
-        worst_z = grid[0]
-        sign = 1.0 if n % 2 == 0 else -1.0
-        for z in grid:
-            val = sign * model.nth_derivative(n + 1, z)
-            if val < worst:
-                worst, worst_z = val, z
-        conds.append(
-            ConditionResult(
-                f"alternation_order_{n}", worst >= -SIGN_TOL, worst, worst_z
-            )
-        )
-
-    if math.isfinite(model.C):
-        dev = abs(float(model(SUBLINEAR_PROBE)) - model.C) / model.C
-        conds.append(
-            ConditionResult("finite_activity_plateau", dev < 1e-3, dev, SUBLINEAR_PROBE)
-        )
-
-    return ValidationReport(tuple(conds))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,10 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_shape(args, parser):
-    """Resolve (gamma, T, nu) from any consistent pair of positive flags."""
+    """Resolve (gamma, T, nu) from any consistent pair of positive flags;
+    --kappa must be positive too."""
     gamma, window, nu = args.gamma, args.window, args.nu
-    for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu)):
+    for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu), ("--kappa", args.kappa)):
         if v is not None and not v > 0:
             parser.error(f"{flag} must be positive, not {v:g}")
     given = sum(v is not None for v in (gamma, window, nu))
@@ -130,6 +132,13 @@ def _seed_from(args, parser) -> int:
 def cmd_simulate(args, parser) -> int:
     gamma, window = _resolve_shape(args, parser)
     seed = _seed_from(args, parser)
+    speckle_spec = None
+    if args.clutter:
+        try:
+            corr = White() if args.speckle == "white" else AR1(args.rho)
+            speckle_spec = SpeckleSpec(variance=args.sigma2, correlation=corr, dt=args.dt)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         model = _model(args, gamma * window)
         cfg = _sim_config(args, parser, model, gamma, window, seed, args.mode)
@@ -149,10 +158,7 @@ def cmd_simulate(args, parser) -> int:
         path.export_events_csv(events_csv)
         outputs.append(str(events_csv))
 
-    speckle_spec = None
     if args.clutter:
-        corr = White() if args.speckle == "white" else AR1(args.rho)
-        speckle_spec = SpeckleSpec(variance=args.sigma2, correlation=corr, dt=cfg.dt)
         n = _grid_length(cfg.duration, cfg.dt)
         rng = np.random.default_rng([seed, 0xC1])
         series = compose(path, gen_speckle(speckle_spec, n, rng), cfg.dt)
@@ -233,18 +239,15 @@ def cmd_validate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lawtable(args, parser) -> int:
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    """The table is built before --out is opened, so a refused flag writes nothing."""
+    if args.nu is None:
+        parser.error("--nu is required")
     try:
         if args.law in ("k-texture", "gamma"):
-            nu = args.nu
-            if nu is None:
-                parser.error("--nu is required for texture laws")
-            law = k_texture_law(nu) if args.law == "k-texture" else gamma_texture_law(nu)
+            law = k_texture_law(args.nu) if args.law == "k-texture" else gamma_texture_law(args.nu)
             xs = np.linspace(0.0, args.x_max, args.points)
-            write_csv(out, ["x", "pdf", "cdf"], xs, law.pdf(xs), law.cdf(xs))
+            header, columns = ["x", "pdf", "cdf"], (xs, law.pdf(xs), law.cdf(xs))
         else:
-            if args.nu is None:
-                parser.error("--nu is required")
             ns = range(args.n_max + 1)
             if args.law == "polya-aeppli":
                 if args.p is None:
@@ -254,10 +257,11 @@ def cmd_lawtable(args, parser) -> int:
                 if args.nbar is None:
                     parser.error("--nbar is required for the negbin law")
                 pmf = negbin_pmf(args.nu, args.nbar, ns)
-            write_csv(out, ["n", "pmf"], ns, pmf)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            header, columns = ["n", "pmf"], (ns, pmf)
+    except ValueError as exc:
+        parser.error(str(exc))
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
+        write_csv(out, header, *columns)
     return 0
 
 

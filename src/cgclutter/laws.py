@@ -123,8 +123,8 @@ def polya_aeppli_pmf(nu: float, p: float, n: int) -> float:
     The Poisson rate of clusters is nu*(1-p); n = 0 carries the whole
     no-cluster mass e^(-nu(1-p)).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    if not (nu > 0 and 0.0 < p < 1.0):
+        raise ValueError("nu must be positive and p must lie in (0, 1)")
     lam = nu * (1.0 - p)
     if n < 0:
         return 0.0

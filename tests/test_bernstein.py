@@ -8,16 +8,19 @@ from cgclutter import (
     BernsteinModel,
     LimitTransform,
     MixingLaw,
-    check_bernstein,
     fit_bernstein,
     from_lst,
     make_builtin_finite,
     make_builtin_infinite,
 )
-from cgclutter.bernstein import FIT_NODES, FIT_SHAPES, levy_log_moments
+from cgclutter.bernstein import FIT_NODES, FIT_SHAPES, _levy_model, levy_log_moments
 from cgclutter.cli import _load_lst_table
+from cgclutter.validation import BERNSTEIN_GRID, bernstein_checks
 
-GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+
+def failed(model):
+    """Names of the Bernstein side conditions the model fails."""
+    return {r.name for r in bernstein_checks(model) if not r.ok}
 
 
 class TestBuiltins:
@@ -73,37 +76,48 @@ class TestBuiltins:
         z = np.array([0.0, 1.0, 3.0])
         np.testing.assert_allclose(h(z), [0.0, 0.5, 0.75])
 
+    def test_family_is_not_a_constructor_argument(self):
+        # a hand-built h must not borrow a builtin's closed forms
+        with pytest.raises(TypeError):
+            BernsteinModel(np.log1p, lambda n, z: 0.0, h1=1.0, h2=-1.0, family="rational")
+
 
 class TestCheckBernstein:
     def test_passes_builtins(self):
         for model in (make_builtin_finite(), make_builtin_infinite()):
-            report = check_bernstein(model, GRID)
-            assert report.passed, str(report)
+            assert not failed(model), bernstein_checks(model)
 
     def test_rejects_square(self):
         bad = BernsteinModel(lambda z: z ** 2, lambda n, z: {1: 2 * z, 2: 2.0}.get(n, 0.0),
                              h1=1.0, h2=0.0)
-        report = check_bernstein(bad, GRID)
-        assert not report.passed
-        failed = {c.name for c in report.conditions if not c.passed}
-        assert "sublinear_growth" in failed
-        assert any(name.startswith("alternation") for name in failed)
+        assert "sublinear_growth" in failed(bad)
+        assert any(name.startswith("alternation") for name in failed(bad))
 
     def test_rejects_identity(self):
         bad = BernsteinModel(lambda z: np.asarray(z, dtype=float),
                              lambda n, z: 1.0 if n == 1 else 0.0,
                              h1=1.0, h2=0.0)
-        report = check_bernstein(bad, GRID)
-        assert not report.passed
-        failed = {c.name for c in report.conditions if not c.passed}
-        assert failed == {"sublinear_growth"}
+        assert failed(bad) == {"sublinear_growth"}
 
     def test_report_records(self):
-        report = check_bernstein(make_builtin_finite(), GRID)
-        assert all(isinstance(c.passed, bool) and math.isfinite(c.margin)
-                   and math.isfinite(c.location) for c in report.conditions)
-        names = [c.name for c in report.conditions]
-        assert "finite_activity_plateau" in names
+        rows = bernstein_checks(make_builtin_finite())
+        assert all(isinstance(r.ok, bool) and math.isfinite(r.measured) for r in rows)
+        assert [r.name for r in rows] == [
+            "zero_at_origin", "sublinear_growth",
+            *(f"alternation_order_{n}" for n in range(5)), "finite_activity_plateau"]
+        # infinite activity has no plateau to reach
+        assert "finite_activity_plateau" not in {r.name for r in
+                                                 bernstein_checks(make_builtin_infinite())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(st.floats(1e-3, 1e2), st.sampled_from(FIT_SHAPES),
+                                st.floats(1e-3, 1e3)), min_size=1, max_size=30))
+def test_levy_measure_is_bernstein_by_construction(parts):
+    # a measure of the fit's form (gamma densities weighted by c > 0) passes
+    # every side condition, so the command line need not check its fits
+    model = _levy_model(tuple(np.array(a) for a in zip(*parts)))
+    assert not failed(model), bernstein_checks(model)
 
 
 class TestLimitTransform:
@@ -143,14 +157,14 @@ class TestFromLst:
         assert model.family == "levy"
         assert math.isfinite(model.C)
         assert (model.h1, model.h2) == pytest.approx((1.0, -1.0), rel=1e-6)
-        assert check_bernstein(model, GRID).passed
+        assert not failed(model)
 
     def test_fits_large_nu(self):
         # G(nu * 1e6) underflows to 0 here: those nodes are dropped, not refused
         nu = 60.0
         model = from_lst(LimitTransform(make_builtin_infinite(), nu), nu)
         assert model.h2 == pytest.approx(-1.0, rel=1e-6)
-        assert check_bernstein(model, GRID).passed
+        assert not failed(model)
         assert MixingLaw(model, 150.0).mass > 1.0 - 1e-9
 
     def test_matches_table_fit_bit_for_bit(self, tmp_path):
@@ -188,10 +202,10 @@ class TestFitBernstein:
         assert (model.C, model.h1, model.h2) == pytest.approx(
             (1.0, 1.0, -2.0), rel=1e-6)
         for n in range(1, 6):
-            for z in GRID:
+            for z in BERNSTEIN_GRID:
                 assert model.nth_derivative(n, z) == pytest.approx(
                     ref.nth_derivative(n, z), rel=1e-6)
-        assert check_bernstein(model, GRID).passed
+        assert not failed(model)
 
     def test_fits_non_completely_monotone_density(self):
         # Levy density 4s e^(-2s): h = 1 - 4/(w+2)^2, C = h1 = 1, h2 = -3/2

@@ -246,8 +246,21 @@ def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
     ["simulate", "--model", "finite-k", "--nu", "2", "--seed", "-1", "--out", "x"],
     ["validate", "--model", "finite-k", "--nu", "-2", "--suite", "moments"],
     ["CLUTTER_SEED=abc", "simulate", "--model", "finite-k", "--nu", "2", "--out", "x"],
-], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed"])
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
+     "--sigma2", "-1", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
+     "--speckle", "ar1", "--rho", "2", "--out", "x"],
+    ["simulate", "--model", "infinite-gamma", "--nu", "2", "--kappa", "0", "--out", "x"],
+    ["validate", "--model", "finite-k", "--nu", "2", "--kappa", "0", "--suite", "moments"],
+    ["lawtable", "--law", "gamma", "--nu", "-2", "--out", "x"],
+    ["lawtable", "--law", "negbin", "--nu", "2", "--nbar", "-1", "--out", "x"],
+    ["lawtable", "--law", "k-texture", "--nu", "2", "--points", "-3", "--out", "x"],
+    ["lawtable", "--law", "polya-aeppli", "--nu", "2", "--p", "1.5", "--out", "x"],
+    ["lawtable", "--law", "polya-aeppli", "--nu", "-2", "--p", "0.5", "--out", "x"],
+], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
+        "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)
     if argv[0].startswith("CLUTTER_SEED="):
         monkeypatch.setenv("CLUTTER_SEED", argv[0].split("=")[1])
@@ -255,7 +268,8 @@ def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "x").exists()
 
 
