@@ -2,8 +2,12 @@
 
 Every field is a float64 printed as ``%.17g``, which round-trips and is
 byte-identical to ``f"{v:.17g}"``; integer columns below 2**53 print as
-``str(n)`` does.  Rows are formatted in blocks of ``BLOCK_ROWS``, so the
-memory a write needs beyond its columns does not grow with their length.
+``str(n)`` does.  Rows are formatted in blocks of about ``BLOCK_VALUES``
+fields, on one worker thread per usable CPU, while the calling thread
+writes the finished blocks in order.  At most one block more than there
+are workers is in flight, so the memory a write needs beyond its columns
+is bounded however long they are, and the bytes written do not depend on
+the number of CPUs.
 
 The digits are computed by numpy, a block at a time, with no Python object
 per value.  For |x| in [1e-4, 1e17) ``%.17g`` prints positional digits:
@@ -15,22 +19,31 @@ the product rounded half to even, as ``%.17g`` rounds.  Only |x| outside
 [1e-4, 1e17) (every exponent-form field), NaN and ±inf go through
 ``"%.17g" % v`` itself.  The digits, sign and point of each field are then
 laid out in a fixed-width cell padded with spaces, which never occur in a
-field, and the padding is deleted.
+field, and the padding is deleted.  The numpy calls release the GIL,
+so the workers format their blocks at the same time.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Rows per block.  On a default `simulate --events --clutter` (2-vCPU
-# x86-64, numpy 2.4) blocks of 1024 to 16384 rows ran at the same speed
-# within run-to-run noise and the whole process peaked at 165-169 MB RSS.
-BLOCK_ROWS = 4096
+# Fields per block; a block holds BLOCK_VALUES // columns rows.  Writing
+# 1e6 rows of 2 or 4 columns on 2 vCPUs (x86-64, numpy 2.4) with the pool,
+# blocks of 8192 fields took 160 ns a field, 16384 took 117 and 32768 took
+# 100, whatever the column count: the workers hand the GIL to each other
+# around every numpy call, a cost per block.  In `cgbench` sim-disk,
+# blocks of 32768 fields cut `wall_s` by 9 % but raised the peak RSS from
+# 182.4 to 186.9 MB, against 177.1 MB with no pool.
+BLOCK_VALUES = 16384
 
 _POW10 = np.array([float(10**k) for k in range(22)])  # exact doubles
 _E8 = 10**8
+_GATHER = 4096  # values whose byte index is built at once
 _WIDTH = 24  # the longest `%.17g` field: "-1.2345678901234567e-308"
 # bytes of a value's source row; its 17 digits sit at 3..19
 _MINUS, _POINT, _ZERO, _PAD, _SEP = 0, 1, 2, 20, 21
@@ -108,12 +121,10 @@ def _digits(x):
     return d, 16 - k, exact
 
 
-def _rows(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float64 block."""
-    quads, zeros, layout = _tables()
-    x = block.ravel()
-    d, e, exact = _digits(x)
-
+def _source(x, d, e, ncols):
+    """Each value's source row, "-.0", its 17 digits, the pad and the
+    separator, and the key of its cell layout."""
+    quads, zeros, _ = _tables()
     # the 17 digits as a lead digit and four groups of four
     hi = d // _E8
     lo = (d - hi * _E8).astype(np.uint32)
@@ -130,22 +141,59 @@ def _rows(block: np.ndarray) -> str:
         rows = rows[g == 0]
     n = np.maximum(17 - tz, e + 1)
 
-    # each value's source row: "-.0", the 17 digits, the pad, the separator
     src = np.empty((len(x), 6), dtype="<u4")
     src[:, 0] = ((lead.astype(np.uint32) + 48) << 24) | 0x302E2D
     for j, g in enumerate(groups, 1):
         src[:, j] = quads[g]
-    seps = np.array([ord(",")] * (block.shape[1] - 1) + [ord("\n")], dtype=np.uint32)
-    src[:, 5] = np.tile(seps << 8 | ord(" "), len(block))
-    idx = np.take(layout, (np.signbit(x) * 21 + e + 4) * 17 + n - 1, axis=0)
-    idx += 24 * np.arange(len(x))[:, None]
-    cells = np.take(src.view(np.uint8).ravel(), idx)
+    seps = np.array([ord(",")] * (ncols - 1) + [ord("\n")], dtype=np.uint32)
+    src[:, 5] = np.tile(seps << 8 | ord(" "), len(x) // ncols)
+    return src, (np.signbit(x) * 21 + e + 4) * 17 + n - 1
 
+
+def _cells(src, key):
+    """Each value's cell gathered from its source row by its layout.  The
+    byte index, 25 intp per value, is built ``_GATHER`` values at a time."""
+    layout = _tables()[2]
+    source = src.view(np.uint8).ravel()
+    cells = np.empty((len(key), _WIDTH + 1), dtype=np.uint8)
+    offsets = _WIDTH * np.arange(_GATHER)[:, None]
+    buf = np.empty((_GATHER, _WIDTH + 1), dtype=np.intp)
+    for a in range(0, len(key), _GATHER):
+        b = min(a + _GATHER, len(key))
+        # mode="clip" lets `take` write to out unbuffered; no index is clipped
+        idx = np.take(layout, key[a:b], axis=0, out=buf[:b - a], mode="clip")
+        idx += offsets[:b - a]
+        np.take(source[_WIDTH * a:_WIDTH * b], idx, out=cells[a:b], mode="clip")
+    return cells
+
+
+def _rows(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float64 block."""
+    x = block.ravel()
+    d, e, exact = _digits(x)
+    # the digit groups die with _source, before the gather allocates
+    cells = _cells(*_source(x, d, e, block.shape[1]))
     rest = np.flatnonzero(~exact)
     if len(rest):
         text = ("%-24.17g" * len(rest)) % tuple(x[rest].tolist())
         cells[rest, :_WIDTH] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)
-    return cells.tobytes().translate(None, b" ").decode("ascii")
+    return str(cells[cells != ord(" ")], "ascii")
+
+
+def _block_text(columns, start, rows) -> str:
+    """CSV lines of ``rows`` rows of the columns from ``start``."""
+    block = np.empty((min(rows, len(columns[0]) - start), len(columns)))
+    for j, c in enumerate(columns):
+        block[:, j] = c[start:start + rows]
+    return _rows(block)
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has no sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def write_csv(f, header, *columns) -> None:
@@ -154,8 +202,17 @@ def write_csv(f, header, *columns) -> None:
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns must have equal lengths")
     f.write(",".join(header) + "\n")
-    for i in range(0, n, BLOCK_ROWS):
-        block = np.empty((min(BLOCK_ROWS, n - i), len(columns)))
-        for j, c in enumerate(columns):
-            block[:, j] = c[i:i + BLOCK_ROWS]
-        f.write(_rows(block))
+    rows = max(1, BLOCK_VALUES // len(columns))
+    workers = _workers()
+    # a pool per call: no thread outlives the write or is inherited by a fork
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for start in range(0, n, rows):
+            pending.append(pool.submit(_block_text, columns, start, rows))
+            if len(pending) > workers:
+                f.write(pending.popleft().result())
+        while pending:
+            f.write(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)

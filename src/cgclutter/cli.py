@@ -242,6 +242,12 @@ def cmd_lawtable(args, parser) -> int:
     """The table is built before --out is opened, so a refused flag writes nothing."""
     if args.nu is None:
         parser.error("--nu is required")
+    if not args.x_max > 0:
+        parser.error(f"--x-max must be positive, not {args.x_max:g}")
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, not {args.points}")
+    if args.n_max < 0:
+        parser.error(f"--n-max must be nonnegative, not {args.n_max}")
     try:
         if args.law in ("k-texture", "gamma"):
             law = k_texture_law(args.nu) if args.law == "k-texture" else gamma_texture_law(args.nu)

@@ -257,8 +257,13 @@ def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
     ["lawtable", "--law", "k-texture", "--nu", "2", "--points", "-3", "--out", "x"],
     ["lawtable", "--law", "polya-aeppli", "--nu", "2", "--p", "1.5", "--out", "x"],
     ["lawtable", "--law", "polya-aeppli", "--nu", "-2", "--p", "0.5", "--out", "x"],
+    ["lawtable", "--law", "negbin", "--nu", "2", "--nbar", "3", "--n-max", "-1", "--out", "x"],
+    ["lawtable", "--law", "k-texture", "--nu", "2", "--points", "0", "--out", "x"],
+    ["lawtable", "--law", "gamma", "--nu", "2", "--x-max", "-1", "--points", "3", "--out", "x"],
+    ["lawtable", "--law", "gamma", "--nu", "2", "--x-max", "0", "--out", "x"],
 ], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
-        "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu"])
+        "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
+        "n-max", "points-0", "x-max", "x-max-0"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)

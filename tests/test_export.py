@@ -2,13 +2,16 @@
 
 import csv
 import io
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgclutter import _export
-from cgclutter._export import BLOCK_ROWS, write_csv
+from cgclutter._export import BLOCK_VALUES, write_csv
 
 NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
 SPECIAL = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -5e-324]
@@ -42,9 +45,10 @@ def column_sets(draw):
     """1-4 columns, each a cycle of (value, run length) pairs cut to a shared
     length, so long runs, adjacent 0.0/-0.0 and the special values occur."""
     k = draw(st.integers(1, 4))
-    n = draw(st.sampled_from([0, 1, BLOCK_ROWS, BLOCK_ROWS + 1]) | st.integers(0, 64))
+    rows = BLOCK_VALUES // k  # rows per block
+    n = draw(st.sampled_from([0, 1, rows, rows + 1]) | st.integers(0, 64))
     value = st.sampled_from([0.0, -0.0]) | st.sampled_from(SPECIAL) | st.floats()
-    run = st.integers(1, 3) | st.integers(1, 2 * BLOCK_ROWS)
+    run = st.integers(1, 3) | st.integers(1, 2 * rows)
     columns = []
     for _ in range(k):
         runs = draw(st.lists(st.tuples(value, run), min_size=1, max_size=8))
@@ -70,6 +74,66 @@ def test_signed_zeros_and_specials_kept_apart():
 def test_integer_column_prints_as_str():
     ns = [0, 1, 170, 10**6, 2**53 - 1]
     assert written(["n"], [ns]) == "n\n" + "".join(f"{n}\n" for n in ns)
+
+
+def cpus(monkeypatch, k):
+    """Make the writer see k usable CPUs, on Linux and on macOS."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_blocks_written_in_order_whatever_the_cpu_count(k, monkeypatch):
+    # more blocks than 8 workers hold in flight, and a short last block
+    n = (8 + 3) * (BLOCK_VALUES // 4) + 5
+    scale = 10.0 ** np.array([-5, 1, 7, 13])[:, None]  # positional and exponent form
+    columns = list(np.random.default_rng(k).standard_normal((4, n)) * scale)
+    header = ["a", "b", "c", "d"]
+    cpus(monkeypatch, k)
+    assert_same(written(header, columns), reference(header, columns))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_at_most_one_block_more_than_workers_in_flight(k, monkeypatch):
+    started = []
+    block_text = _export._block_text
+    monkeypatch.setattr(_export, "_block_text", lambda *a: started.append(1) or block_text(*a))
+
+    class SlowFile(io.StringIO):
+        # slow, so the workers would run ahead if they were let
+        started_at = []  # blocks started by the end of each write
+
+        def write(self, s):
+            time.sleep(0.01)
+            self.started_at.append(len(started))
+            return super().write(s)
+
+    f = SlowFile()
+    cpus(monkeypatch, k)
+    write_csv(f, ["x"], np.arange(20 * BLOCK_VALUES, dtype=float))
+    # the header, then 20 blocks; block j is in flight from its start until
+    # its write, so at that write blocks j..started_at[j] are
+    assert f.started_at[0] == 0 and len(f.started_at) == 21
+    assert max(s - j + 1 for j, s in enumerate(f.started_at[1:], 1)) <= k + 1
+
+
+def test_failed_write_raises_and_stops_the_workers(monkeypatch):
+    class Failing(io.StringIO):
+        calls = 0
+
+        def write(self, s):
+            self.calls += 1
+            if self.calls == 3:
+                raise error
+            return super().write(s)
+
+    error = OSError("disk full")
+    cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(OSError) as exc:
+        write_csv(Failing(), ["x"], np.arange(10 * BLOCK_VALUES, dtype=float))
+    assert exc.value is error
+    assert threading.active_count() == before
 
 
 def test_unequal_columns_rejected():
