@@ -4,10 +4,11 @@ Every field is a float64 printed as ``%.17g``, which round-trips and is
 byte-identical to ``f"{v:.17g}"``; integer columns below 2**53 print as
 ``str(n)`` does.  Rows are formatted in blocks of about ``BLOCK_VALUES``
 fields, on one worker thread per usable CPU, while the calling thread
-writes the finished blocks in order.  At most one block more than there
-are workers is in flight, so the memory a write needs beyond its columns
-is bounded however long they are, and the bytes written do not depend on
-the number of CPUs.
+writes the finished blocks in order; with one usable CPU the calling
+thread formats each block itself, with no pool.  At most one block more
+than there are workers is in flight, so the memory a write needs beyond
+its columns is bounded however long they are, and the bytes written do
+not depend on the number of CPUs.
 
 The digits are computed by numpy, a block at a time, with no Python object
 per value.  For |x| in [1e-4, 1e17) ``%.17g`` prints positional digits:
@@ -204,6 +205,11 @@ def write_csv(f, header, *columns) -> None:
     f.write(",".join(header) + "\n")
     rows = max(1, BLOCK_VALUES // len(columns))
     workers = _workers()
+    if workers == 1:
+        # a pool of one would add a thread's memory and no parallel work
+        for start in range(0, n, rows):
+            f.write(_block_text(columns, start, rows))
+        return
     # a pool per call: no thread outlives the write or is inherited by a fork
     pool = ThreadPoolExecutor(workers)
     try:

@@ -39,6 +39,37 @@ class TestSummarize:
             summarize([], 1.0, 0.0)
         with pytest.raises(ValueError):
             summarize([1.0, 2.0], 1.0, 5.0)
+        with pytest.raises(ValueError, match="span"):
+            summarize([1.0, 2.0], 1.0, math.inf)
+
+    @pytest.mark.parametrize("dt, max_lag, name", [
+        (0.0, 1.0, "dt"),
+        (-0.5, 1.0, "dt"),
+        (1.0, -1.0, "max_lag"),
+        (1.0, math.nan, "max_lag"),
+    ], ids=["dt-0", "dt-negative", "max_lag-negative", "max_lag-nan"])
+    def test_bad_step_or_lag_rejected(self, dt, max_lag, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            summarize([1.0, 2.0, 4.0], dt, max_lag)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e6]), zeros=st.floats(0.0, 0.9))
+    def test_autocov_matches_per_lag_dots(self, data, m, seed, scale, zeros):
+        # lengths at and next to a multiple of the block width m + 1, or any
+        b = m + 1
+        near = st.builds(lambda k, d: k * b + d, st.integers(1, 4999 // b),
+                         st.sampled_from([-1, 0, 1]))
+        n = data.draw((near | st.integers(b, 5000)).filter(lambda n: n >= b), label="n")
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(n) < zeros, 0.0, scale * rng.exponential(1.0, n))
+        xc = x - x.mean()
+        want = [np.dot(xc[: n - k], xc[k:]) / n for k in range(m + 1)]
+        got = summarize(x, 0.25, 0.25 * m).autocov
+        assert [t for t, _ in got] == [0.25 * k for k in range(m + 1)]
+        # 1e-12 of sum xc^2 on each lag product, so over n on each autocov
+        tol = 1e-12 * np.dot(xc, xc) / n
+        assert np.max(np.abs(np.array([c for _, c in got]) - want)) <= tol
 
 
 class TestKsDistance:

@@ -136,6 +136,20 @@ def test_failed_write_raises_and_stops_the_workers(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_one_cpu_formats_on_the_calling_thread(monkeypatch):
+    n = 3 * (BLOCK_VALUES // 2) + 7
+    columns = list(np.random.default_rng(5).standard_normal((2, n)) * [[1e-6], [1e9]])
+    cpus(monkeypatch, 2)
+    want = written(["a", "b"], columns)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made on one CPU")
+
+    monkeypatch.setattr(_export, "_workers", lambda: 1)
+    monkeypatch.setattr(_export, "ThreadPoolExecutor", no_pool)
+    assert written(["a", "b"], columns) == want
+
+
 def test_unequal_columns_rejected():
     with pytest.raises(ValueError, match="equal lengths"):
         written(["a", "b"], [[1.0, 2.0], [1.0]])
