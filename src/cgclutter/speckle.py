@@ -44,7 +44,23 @@ class AR1:
 
 @dataclass(frozen=True)
 class CustomACF:
-    acf: tuple  # autocovariance at lags 0, dt, 2 dt, ...
+    """Autocovariance at lags 0, dt, 2 dt, ...; lags past the tuple are zero.
+
+    acf[0] is the variance: a custom ACF does not use SpeckleSpec.variance.
+    gen_speckle factors the n x n Toeplitz covariance by Cholesky, else by
+    eigh, in real arithmetic when every lag is real; n is at most
+    CUSTOM_ACF_MAX_N.
+    """
+
+    acf: tuple
+
+    def __post_init__(self):
+        if len(self.acf) == 0:
+            raise ValueError("custom ACF is empty: lag 0 (the variance) is required")
+        v0 = complex(self.acf[0])
+        if not (v0.imag == 0.0 and v0.real > 0.0):
+            raise ValueError("custom ACF lag 0 is the variance: it must be real "
+                             f"and positive, got {self.acf[0]!r}")
 
 
 Correlation = Union[White, AR1, CustomACF]
@@ -107,9 +123,10 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     # CustomACF: color a white vector by a factor of the Toeplitz covariance
     if n > CUSTOM_ACF_MAX_N:
         raise ValueError(f"custom ACF limited to n <= {CUSTOM_ACF_MAX_N}")
-    acf = np.zeros(n, dtype=complex)
     vals = np.asarray(corr.acf, dtype=complex)[:n]
-    acf[: len(vals)] = vals
+    real = not vals.imag.any()  # a symmetric spectrum: factor in real arithmetic
+    acf = np.zeros(n, dtype=float if real else complex)
+    acf[: len(vals)] = vals.real if real else vals
     # Hermitian Toeplitz C[i, j] = lags[n - 1 + i - j]: acf[i - j] on and
     # below the diagonal, conj(acf[j - i]) above it; row i is window i reversed
     lags = np.concatenate([np.conj(acf[:0:-1]), acf])
@@ -120,9 +137,13 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
         evals, evecs = np.linalg.eigh(C)
         if evals.min() < -1e-10 * max(abs(acf[0]), 1.0):
             raise ValueError("custom ACF is not positive semidefinite") from None
-        L = evecs  # scaled in place: one n x n complex array fewer
+        L = evecs  # scaled in place: one n x n array fewer
         L *= np.sqrt(np.clip(evals, 0.0, None))
+    del C
     w = _white_complex(n, rng, 1.0)
+    if real:
+        # the real and imaginary parts as two right-hand columns of one real product
+        return (L @ w.view(float).reshape(n, 2)).view(complex).ravel()
     return L @ w
 
 

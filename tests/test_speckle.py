@@ -58,9 +58,51 @@ class TestGenSpeckle:
             assert got == pytest.approx(want, abs=0.03)
 
     def test_custom_acf_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            gen_speckle(SpeckleSpec(correlation=CustomACF((1.0, 0.9, -0.9))), 16,
-                        np.random.default_rng(0))
+        real = np.array([1.0, 0.9, -0.9])
+        # modulated by e^{0.3ik}: a unitary similarity of the indefinite real
+        # Toeplitz matrix, so the complex path sees the same eigenvalues
+        for acf in (real, real * np.exp(0.3j * np.arange(3))):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), 16,
+                            np.random.default_rng(0))
+
+    def test_custom_acf_real_matches_zero_imaginary(self):
+        # lags with zero imaginary parts take the real path whatever their type
+        acf = np.exp(-np.arange(64) ** 2 / 128.0)  # Cholesky fails: eigh runs
+        draws = [gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(a))), 64,
+                             np.random.default_rng(7))
+                 for a in (acf, acf.astype(complex))]
+        np.testing.assert_array_equal(draws[0], draws[1])
+
+    def test_custom_acf_real_is_circular(self):
+        acf = 2.0 * np.exp(-np.arange(64) ** 2 / 128.0)
+        rng = np.random.default_rng(8)
+        xs = np.array([gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), 64, rng)
+                       for _ in range(4000)])
+        # about 5 standard errors of the pooled means over the correlated series
+        assert np.mean(xs.real ** 2) == pytest.approx(acf[0] / 2, abs=0.06)
+        assert np.mean(xs.imag ** 2) == pytest.approx(acf[0] / 2, abs=0.06)
+        assert abs(np.mean(xs.real * xs.imag)) < 0.06
+
+    def test_custom_acf_complex_covariance(self):
+        # Hermitian ACF of an asymmetric (shifted Gaussian) Doppler spectrum
+        k = np.arange(60)
+        acf = np.exp(-k ** 2 / 50.0) * np.exp(0.3j * k)
+        rng = np.random.default_rng(5)
+        n = 64
+        xs = np.array([gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), n, rng)
+                       for _ in range(2000)])
+        for lag in (0, 1, 3, 7):
+            got = np.mean(xs[:, lag:] * np.conj(xs[:, : n - lag]))
+            # each part within about 5 standard errors of the pooled mean
+            assert got.real == pytest.approx(acf[lag].real, abs=0.04)
+            assert got.imag == pytest.approx(acf[lag].imag, abs=0.04)
+
+    @pytest.mark.parametrize("acf", [(), (1 + 0.5j, 0.3), (0.0, 0.1), (-1.0,),
+                                     (float("nan"),)])
+    def test_custom_acf_rejects_bad_lag0(self, acf):
+        with pytest.raises(ValueError, match="lag 0"):
+            CustomACF(acf)
 
     def test_guards(self):
         with pytest.raises(ValueError):
