@@ -43,12 +43,12 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_shape(args, parser):
-    """Resolve (gamma, T, nu) from any consistent pair of positive flags;
-    --kappa must be positive too."""
+    """Resolve (gamma, T, nu) from any consistent pair of positive finite
+    flags; --kappa must be positive and finite too."""
     gamma, window, nu = args.gamma, args.window, args.nu
     for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu), ("--kappa", args.kappa)):
-        if v is not None and not v > 0:
-            parser.error(f"{flag} must be positive, not {v:g}")
+        if v is not None and not 0 < v < math.inf:
+            parser.error(f"{flag} must be positive and finite, not {v:g}")
     given = sum(v is not None for v in (gamma, window, nu))
     if given == 3 and abs(gamma * window - nu) > 1e-9 * max(nu, 1.0):
         parser.error("--gamma, --T and --nu are mutually inconsistent")
@@ -242,8 +242,8 @@ def cmd_lawtable(args, parser) -> int:
     """The table is built before --out is opened, so a refused flag writes nothing."""
     if args.nu is None:
         parser.error("--nu is required")
-    if not args.x_max > 0:
-        parser.error(f"--x-max must be positive, not {args.x_max:g}")
+    if not 0 < args.x_max < math.inf:
+        parser.error(f"--x-max must be positive and finite, not {args.x_max:g}")
     if args.points < 1:
         parser.error(f"--points must be at least 1, not {args.points}")
     if args.n_max < 0:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
+from scipy.special import chndtr, gammainc, gammaln, i0e, xlogy
 
-from ._export import write_csv
 from .bernstein import BernsteinModel, LimitTransform
 from .bessel import scaled_i1
 
@@ -41,11 +40,6 @@ class TextureLaw:
     pdf: Callable
     cdf: Callable
 
-    def export_csv(self, path, x):
-        x = np.asarray(x, dtype=float)
-        with open(path, "w", newline="") as f:
-            write_csv(f, ["x", "pdf", "cdf"], x, self.pdf(x), self.cdf(x))
-
 
 def _vectorized(fn):
     def wrapped(x):
@@ -58,14 +52,18 @@ def _vectorized(fn):
 def k_texture_law(nu: float) -> TextureLaw:
     """Finite-activity texture marginal at shape nu.
 
-    Atom e^(-nu) at zero; for tau > 0 the density is
+    tau is a Poisson(nu) number of Exp(nu) marks, so 2 nu tau is a
+    noncentral chi-square with 0 degrees of freedom and noncentrality 2 nu
+    (Siegel 1979).  Atom e^(-nu) at zero; for tau > 0 the density is
     nu e^(-nu(1+tau)) tau^(-1/2) I1(2 nu sqrt(tau)), evaluated through the
     scaled Bessel function so the exponent collapses to -nu(1-sqrt(tau))^2.
-    The CDF is tabulated by composite Simpson in the sqrt(tau) variable,
-    where the integrand is smooth and bounded.
+    The CDF is closed form, from P(chi'2_0(lam) <= x) = P(chi'2_2(lam) <= x)
+    + e^(-(lam+x)/2) I0(sqrt(lam x)) at x = 2 nu tau and lam = 2 nu:
+    chndtr(2 nu tau, 2, 2 nu) + e^(-nu(1-sqrt(tau))^2) i0e(2 nu sqrt(tau)),
+    which is the atom exactly at tau = 0.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
     atom = math.exp(-nu)
 
     def pdf(tau):
@@ -75,34 +73,20 @@ def k_texture_law(nu: float) -> TextureLaw:
         out[pos] = nu * np.exp(-nu * (1.0 - r) ** 2) * scaled_i1(2.0 * nu * r) / r
         return out
 
-    # CDF table on u = sqrt(tau): dF = 2 nu exp(-nu(1-u)^2) i1e(2 nu u) du
-    u_hi = 1.0 + math.sqrt(45.0 / nu) + 2.0 / nu
-    m = 40001  # odd count for Simpson
-    u = np.linspace(0.0, u_hi, m)
-    integrand = 2.0 * nu * np.exp(-nu * (1.0 - u) ** 2) * scaled_i1(2.0 * nu * u)
-    h = u[1] - u[0]
-    cum = np.zeros(m)
-    # cumulative Simpson over pairs of intervals; odd nodes by half-rule
-    f0, f1, f2 = integrand[:-2:2], integrand[1:-1:2], integrand[2::2]
-    pair = h / 3.0 * (f0 + 4.0 * f1 + f2)
-    cum[2::2] = np.cumsum(pair)
-    cum[1::2] = cum[:-1:2] + h / 12.0 * (5.0 * integrand[:-1:2][: len(cum[1::2])]
-                                         + 8.0 * integrand[1::2]
-                                         - integrand[2::2])
-
     def cdf(tau):
-        r = np.sqrt(np.maximum(tau, 0.0))
-        vals = atom + np.interp(r, u, cum)
-        vals = np.where(tau < 0, 0.0, vals)
-        return np.minimum(vals, 1.0)
+        t = np.maximum(tau, 0.0)
+        r = np.sqrt(t)
+        vals = (chndtr(2.0 * nu * t, 2.0, 2.0 * nu)
+                + np.exp(-nu * (1.0 - r) ** 2) * i0e(2.0 * nu * r))
+        return np.where(tau < 0, 0.0, np.minimum(vals, 1.0))
 
     return TextureLaw("k-texture", atom, _vectorized(pdf), _vectorized(cdf))
 
 
 def gamma_texture_law(nu: float) -> TextureLaw:
     """Unit-mean gamma texture: density nu^nu / Gamma(nu) tau^(nu-1) e^(-nu tau)."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
     scale = 1.0 / nu
 
     def pdf(tau):
@@ -123,8 +107,8 @@ def polya_aeppli_pmf(nu: float, p: float, n: int) -> float:
     The Poisson rate of clusters is nu*(1-p); n = 0 carries the whole
     no-cluster mass e^(-nu(1-p)).
     """
-    if not (nu > 0 and 0.0 < p < 1.0):
-        raise ValueError("nu must be positive and p must lie in (0, 1)")
+    if not (0 < nu < math.inf and 0.0 < p < 1.0):
+        raise ValueError("nu must be positive and finite and p must lie in (0, 1)")
     lam = nu * (1.0 - p)
     if n < 0:
         return 0.0
@@ -147,8 +131,8 @@ def polya_aeppli_pmf(nu: float, p: float, n: int) -> float:
 
 def negbin_pmf(nu: float, nbar: float, n) -> float | np.ndarray:
     """Negative binomial window-count PMF with shape nu and mean nbar."""
-    if not (nu > 0 and nbar > 0):
-        raise ValueError("nu and nbar must be positive")
+    if not (0 < nu < math.inf and 0 < nbar < math.inf):
+        raise ValueError("nu and nbar must be positive and finite")
     ns = np.asarray(n, dtype=float)
     logp = (
         gammaln(ns + nu)

@@ -73,10 +73,10 @@ class SpeckleSpec:
     dt: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("speckle variance must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("speckle variance must be positive and finite")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
     def to_dict(self) -> dict:
         corr = self.correlation

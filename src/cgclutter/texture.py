@@ -56,8 +56,8 @@ class SimConfig:
     kappa: float = 150.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.window > 0 and self.duration > 0 and self.dt > 0):
-            raise ValueError("gamma, window, duration and dt must all be positive")
+        if not all(0 < v < np.inf for v in (self.gamma, self.window, self.duration, self.dt)):
+            raise ValueError("gamma, window, duration and dt must all be positive and finite")
         if self.dt >= self.window:
             raise ValueError("dt must be smaller than the window length")
         if self.mode not in MODES:

@@ -261,9 +261,21 @@ def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
     ["lawtable", "--law", "k-texture", "--nu", "2", "--points", "0", "--out", "x"],
     ["lawtable", "--law", "gamma", "--nu", "2", "--x-max", "-1", "--points", "3", "--out", "x"],
     ["lawtable", "--law", "gamma", "--nu", "2", "--x-max", "0", "--out", "x"],
+    # an infinite value passes a positivity test, so each is refused as not finite
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
+     "--sigma2", "inf", "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "inf", "--out", "x"],
+    ["validate", "--model", "finite-k", "--nu", "2", "--kappa", "inf", "--suite", "moments"],
+    ["lawtable", "--law", "gamma", "--nu", "inf", "--out", "x"],
+    ["lawtable", "--law", "k-texture", "--nu", "inf", "--out", "x"],
+    ["lawtable", "--law", "k-texture", "--nu", "2", "--x-max", "inf", "--out", "x"],
+    ["lawtable", "--law", "negbin", "--nu", "2", "--nbar", "inf", "--out", "x"],
+    ["lawtable", "--law", "polya-aeppli", "--nu", "inf", "--p", "0.5", "--out", "x"],
 ], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
         "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
-        "n-max", "points-0", "x-max", "x-max-0"])
+        "n-max", "points-0", "x-max", "x-max-0", "sigma2-inf", "duration-inf",
+        "validate-kappa-inf", "lawtable-nu-inf", "k-texture-nu-inf", "x-max-inf", "nbar-inf",
+        "polya-nu-inf"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)

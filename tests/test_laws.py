@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, pdtr
 from scipy.stats import gamma, nbinom
 
 from cgclutter import (
@@ -31,6 +32,16 @@ PA_ORACLE = [
 ]
 
 
+def poisson_gamma_cdf(nu, tau):
+    """P(tau <= t) from the law's definition: a Poisson(nu) number n of
+    Exp(nu) marks, whose sum is Gamma(n, 1/nu).  The Poisson weights are
+    differences of the Poisson CDF: exp of the log pmf loses about 5e-13
+    relative at nu = 100."""
+    n = np.arange(1.0, nu + 40.0 * math.sqrt(nu) + 60.0)
+    weights = pdtr(n, nu) - pdtr(n - 1.0, nu)
+    return np.array([math.exp(-nu) + np.sum(weights * gammainc(n, nu * t)) for t in tau])
+
+
 class TestKTextureLaw:
     def test_atom(self):
         assert k_texture_law(0.75).atom_at_zero == pytest.approx(math.exp(-0.75))
@@ -51,7 +62,18 @@ class TestKTextureLaw:
         law = k_texture_law(2.0)
         for x in (0.3, 1.0, 2.5, 6.0):
             want, _ = quad(law.pdf, 0.0, x, limit=400)
-            assert law.cdf(x) == pytest.approx(want + law.atom_at_zero, abs=5e-8)
+            assert law.cdf(x) == pytest.approx(want + law.atom_at_zero, abs=1e-13)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 2.0, 10.0, 100.0])
+    def test_cdf_matches_poisson_gamma_series(self, nu):
+        # zero, the tiny values, both tails and the bulk at 1 +- 3.5 sd for nu = 100
+        tau = np.r_[0.0, 5e-324, 1e-300, 1e-12, np.logspace(-6.0, 3.0, 73),
+                    np.linspace(0.5, 1.5, 21)]
+        law = k_texture_law(nu)
+        got = law.cdf(tau)
+        np.testing.assert_allclose(got, poisson_gamma_cdf(nu, tau), rtol=0, atol=1e-13)
+        assert law.cdf(0.0) == law.atom_at_zero
+        assert np.all(got <= 1.0)
 
     def test_cdf_limits_and_vector_form(self):
         law = k_texture_law(2.0)
@@ -66,14 +88,6 @@ class TestKTextureLaw:
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError):
             k_texture_law(0.0)
-
-    def test_export_csv(self, tmp_path):
-        law = k_texture_law(2.0)
-        f = tmp_path / "law.csv"
-        law.export_csv(f, np.array([0.5, 1.0]))
-        lines = f.read_bytes().split(b"\n")
-        assert lines[0] == b"x,pdf,cdf"
-        assert len(lines) == 4  # header + 2 rows + trailing newline
 
 
 class TestGammaTextureLaw:
