@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cgclutter import (
     simulate,
     windowed_process,
 )
+from cgclutter import texture
 from cgclutter.texture import _grid_length
 
 
@@ -62,6 +64,10 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             poisson_arrivals(0.0, 1.0, np.random.default_rng(0))
 
+    def test_rejects_nan_span(self):
+        with pytest.raises(ValueError, match="NaN"):
+            poisson_arrivals(1.0, np.nan, np.random.default_rng(0))
+
     def test_memory_per_arrival(self):
         # one block of gaps summed in place: the block is the output
         rng = np.random.default_rng(0)
@@ -104,6 +110,33 @@ def reference_window_sweep(arrivals, marks, window, duration):
     return ct[last], cv[last]
 
 
+@contextmanager
+def sweep_block(size):
+    """Run the window sweep in blocks of `size` arrivals."""
+    saved = texture.SWEEP_BLOCK
+    texture.SWEEP_BLOCK = size
+    try:
+        yield
+    finally:
+        texture.SWEEP_BLOCK = saved
+
+
+def tie_heavy_case(data):
+    """Arrivals, marks, window and duration drawn from a pool with points a
+    window apart, so enters tie with leaves, reaching before 0 and past
+    duration."""
+    window = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 4.0))
+    duration = data.draw(st.sampled_from([1.0, 5.0]) | st.floats(0.5, 12.0))
+    base = data.draw(st.lists(st.floats(-window, duration + window), min_size=1,
+                              max_size=6))
+    pool = base + [b + window for b in base] + [b - window for b in base] + [
+        0.0, window, duration, duration + window]
+    a = np.sort(data.draw(st.lists(st.sampled_from(pool), max_size=30)))
+    mark = st.floats(0.0, 10.0) | st.integers(0, 5).map(float)
+    m = np.array(data.draw(st.lists(mark, min_size=len(a), max_size=len(a))), dtype=float)
+    return a, m, window, duration
+
+
 class TestWindowedProcess:
     def test_hand_worked_example(self):
         # window T=2; arrival 3 (mark 5) occupies [1, 3); arrival 4 (mark 7)
@@ -143,32 +176,62 @@ class TestWindowedProcess:
         with pytest.raises(ValueError, match="sorted"):
             windowed_process(a, [1.0, 1.0], 1.0, 5.0)
 
+    @pytest.mark.parametrize("window", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_window_not_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="window"):
+            windowed_process([3.0, 4.0], [5.0, 7.0], window, 6.0)
+
+    @pytest.mark.parametrize("duration", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_duration_not_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            windowed_process([3.0, 4.0], [5.0, 7.0], 2.0, duration)
+
+    @pytest.mark.parametrize("m", [[5.0, -1.0], [5.0, np.nan], [-1, 7]])
+    def test_rejects_negative_or_nan_marks(self, m):
+        with pytest.raises(ValueError, match="marks"):
+            windowed_process([3.0, 4.0], m, 2.0, 6.0)
+
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_matches_reference_sweep(self, data):
-        window = data.draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 4.0))
-        duration = data.draw(st.sampled_from([1.0, 5.0]) | st.floats(0.5, 12.0))
-        # a pool with points a window apart, so enters tie with leaves,
-        # reaching before 0 and past duration
-        base = data.draw(st.lists(st.floats(-window, duration + window), min_size=1,
-                                  max_size=6))
-        pool = base + [b + window for b in base] + [b - window for b in base] + [
-            0.0, window, duration, duration + window]
-        a = np.sort(data.draw(st.lists(st.sampled_from(pool), max_size=30)))
-        mark = st.floats(0.0, 10.0) | st.integers(0, 5).map(float)
-        m = np.array(data.draw(st.lists(mark, min_size=len(a), max_size=len(a))), dtype=float)
+        a, m, window, duration = tie_heavy_case(data)
         path = windowed_process(a, m, window, duration)
         ct, cv = reference_window_sweep(a, m, window, duration)
         assert_bitwise_equal(path.change_times, ct)
         assert_bitwise_equal(path.values, cv)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.data(), st.integers(1, 8))
+    def test_matches_reference_sweep_across_blocks(self, data, block):
+        a, m, window, duration = tie_heavy_case(data)
+        # whole marks may go in as integers, as simulate passes them
+        whole = np.all(m == np.round(m)) and data.draw(st.booleans())
+        with sweep_block(block):
+            path = windowed_process(a, m.astype(np.int64) if whole else m, window, duration)
+        ct, cv = reference_window_sweep(a, m, window, duration)
+        assert_bitwise_equal(path.change_times, ct)
+        assert_bitwise_equal(path.values, cv)
+
+    def test_blocks_match_one_block_on_a_million_arrivals(self):
+        rng = np.random.default_rng(2)
+        a = poisson_arrivals(1.25, 8e5, rng)
+        m = rng.logseries(150 / 151, len(a))
+        path = windowed_process(a, m, 8.0, 8e5 - 8.0)
+        assert len(a) > 8 * texture.SWEEP_BLOCK
+        with sweep_block(len(a)):
+            one = windowed_process(a, m, 8.0, 8e5 - 8.0)
+        assert_bitwise_equal(path.change_times, one.change_times)
+        assert_bitwise_equal(path.values, one.values)
+
     def test_memory_per_arrival(self):
         rng = np.random.default_rng(1)
         a = poisson_arrivals(1.25, 8e5, rng)
-        m = rng.logseries(150 / 151, len(a)).astype(float)
+        m = rng.logseries(150 / 151, len(a))
         peak, path = traced_peak(windowed_process, a, m, 8.0, 8e5 - 8.0)
         assert len(path.change_times) > 1e6
-        assert peak / len(a) < 100
+        # the path holds two float64 per event and two events per arrival,
+        # 32 B per arrival; the sweep needs under 16 B per arrival beyond it
+        assert (peak - 32 * len(a)) / len(a) < 16
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
