@@ -169,8 +169,11 @@ def windowed_process(arrivals, marks, window: float, duration: float) -> Texture
     n = len(arrivals)
     if n == 0:
         return TexturePath(np.array([0.0]), np.array([0.0]), duration)
-    if not np.all(arrivals[1:] >= arrivals[:-1]):
-        raise ValueError("arrivals must be sorted")
+    # NaN fails every comparison, so a NaN after the first fails the
+    # sortedness test; only then is the whole array searched for one
+    if np.isnan(arrivals[0]) or not np.all(arrivals[1:] >= arrivals[:-1]):
+        raise ValueError("arrivals must not be NaN" if np.isnan(arrivals).any()
+                         else "arrivals must be sorted")
 
     # the inf after the last enter: the leave of the last arrival empties
     # the window
@@ -262,11 +265,9 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
     arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
     marks = sample_k(law, rng, size=len(arrivals))
     path = windowed_process(arrivals, marks, cfg.window, cfg.duration)
-    if cfg.mode == "discrete-windowed":
-        return path
-    del arrivals, marks  # freed before the division allocates a second values array
-    nbar = lam * cfg.window * law.mean
-    return TexturePath(path.change_times, path.values / nbar, cfg.duration)
+    if cfg.mode == "infinite-approx":
+        np.divide(path.values, lam * cfg.window * law.mean, out=path.values)
+    return path
 
 
 def _grid_length(duration: float, dt: float) -> int:

@@ -311,3 +311,16 @@ class TestLawtable:
         with pytest.raises(SystemExit) as exc:
             run(["lawtable", "--law", "polya-aeppli", "--nu", "2"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["simulate", "--mode", "discrete-windowed", "--out", "bigk"],
+                                     ["validate"]], ids=["simulate", "validate"])
+def test_kappa_too_large_for_logseries_exit_3(command, tmp_path, capsys, monkeypatch):
+    # p = kappa/(1 + kappa) of the log-series law rounds to 1
+    monkeypatch.chdir(tmp_path)
+    code = run([*command, "--model", "infinite-gamma", "--nu", "2", "--kappa", "1e17",
+                "--duration", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "kappa" in err and err.count("\n") == 1
+    assert not (tmp_path / "bigk").exists()

@@ -1,9 +1,11 @@
 import json
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
 
 from cgclutter import (
@@ -175,9 +177,61 @@ def generator_state(rng):
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
 
+class StreamGenerator:
+    """A stand-in for np.random.Generator whose `random` serves the given
+    doubles in order, then the largest double below 1 forever."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.used = 0
+
+    def random(self, size=None, out=None):
+        n = 1 if size is None else size
+        got = self.doubles[self.used:self.used + n]
+        got += [np.nextafter(1.0, 0.0)] * (n - len(got))
+        self.used += n
+        if out is None:
+            return got[0] if size is None else np.array(got)
+        out[...] = got
+        return out
+
+
+def reference_logseries(rng, p, size):
+    """numpy's Kemp loop, one draw at a time from rng.random(), with log and
+    expm1 from the same numpy ufuncs as the block sampler."""
+    r = math.log1p(-p)
+    draws = []
+    while len(draws) < size:
+        v = rng.random()
+        if v >= p:
+            draws.append(1)
+            continue
+        q = -np.expm1(r * rng.random())
+        if v <= q * q:
+            if v == 0:
+                continue
+            k = math.floor(1 + np.log(v) / np.log(q))
+            if k >= 1:
+                draws.append(k)
+            continue
+        draws.append(1 if v >= q else 2)
+    return draws
+
+
+@contextmanager
+def logseries_block(size):
+    """Run the log-series sampler in blocks of `size` doubles."""
+    saved = mixing.LOGSERIES_BLOCK
+    mixing.LOGSERIES_BLOCK = size
+    try:
+        yield
+    finally:
+        mixing.LOGSERIES_BLOCK = saved
+
+
 class TestLogseries:
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
-    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.9, 150 / 151, 1 - 1e-9])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5, 0.9, 10 / 11, 150 / 151, 1 - 1e-9])
     def test_logseries_matches_numpy(self, bitgen, p):
         # draws and generator state after each call, across block edges
         want, got = np.random.Generator(bitgen(17)), np.random.Generator(bitgen(17))
@@ -194,6 +248,29 @@ class TestLogseries:
     def test_logseries_rejects_p_outside_unit_interval(self, p):
         with pytest.raises(ValueError):
             mixing._logseries(np.random.default_rng(0), p, 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.sampled_from([0.0, 1e-3, 0.5, 10 / 11, 150 / 151]))
+    def test_logseries_matches_reference_stream(self, data, block, p):
+        # doubles at p, just below it and 0.0 land as V's, as U's and as a V
+        # that ends a block: a V of 0 (a retry below p, a 1 at p = 0) and a
+        # U of 0 (q = 0) occur, which no real generator draws
+        pool = st.one_of(st.sampled_from([0.0, p, np.nextafter(p, 0.0)]),
+                         st.floats(p, 1.0, exclude_max=True),
+                         st.floats(0.0, 1.0, exclude_max=True))
+        doubles = data.draw(st.lists(pool, max_size=40))
+        size = data.draw(st.integers(1, 30))
+        got, want = StreamGenerator(doubles), StreamGenerator(doubles)
+        with logseries_block(block):
+            k = mixing._logseries(got, p, size)
+        assert k.tolist() == reference_logseries(want, p, size)
+        assert got.used == want.used
+
+    def test_logseries_kappa_too_large(self):
+        # p = kappa/(1 + kappa) rounds to 1 from about 9e15
+        MixingLaw(make_builtin_infinite(), 9e15)
+        with pytest.raises(ValueError, match="kappa"):
+            MixingLaw(make_builtin_infinite(), 1e17)
 
 
 class TestContinuousMixing:

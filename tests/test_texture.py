@@ -171,10 +171,15 @@ class TestWindowedProcess:
         with pytest.raises(ValueError):
             windowed_process([1.0, 2.0], [1.0], 1.0, 5.0)
 
-    @pytest.mark.parametrize("a", [[2.0, 1.0], [1.0, np.nan]])
+    @pytest.mark.parametrize("a", [[2.0, 1.0]])
     def test_rejects_unsorted_arrivals(self, a):
         with pytest.raises(ValueError, match="sorted"):
             windowed_process(a, [1.0, 1.0], 1.0, 5.0)
+
+    @pytest.mark.parametrize("a", [[np.nan], [1.0, np.nan], [np.nan, 1.0], [1.0, np.nan, 0.5]])
+    def test_rejects_nan_arrivals(self, a):
+        with pytest.raises(ValueError, match="NaN"):
+            windowed_process(a, np.ones(len(a)), 1.0, 5.0)
 
     @pytest.mark.parametrize("window", [-1.0, 0.0, np.inf, np.nan])
     def test_rejects_window_not_positive_and_finite(self, window):
