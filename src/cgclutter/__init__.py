@@ -27,14 +27,7 @@ from .laws import (
     polya_aeppli_pmf,
     texture_cov,
 )
-from .mixing import (
-    ContinuousMixing,
-    MixingLaw,
-    continuous_mixing,
-    pgf_k,
-    pmf_k,
-    sample_k,
-)
+from .mixing import MixingLaw, pgf_k, sample_k, sample_xi
 from .speckle import AR1, ClutterSeries, CustomACF, SpeckleSpec, White, compose, gen_speckle
 from .texture import (
     ArrivalBudgetError,

@@ -1,4 +1,4 @@
-"""Bernstein functions: evaluation, derivative access, fitting, limit transform.
+"""Bernstein functions: evaluation, fitting, limit transform.
 
 A Bernstein function here is a nonnegative function h on [0, inf) with
 h(0) = 0, completely monotonic first derivative, sublinear growth
@@ -29,7 +29,7 @@ __all__ = [
 
 FIT_TOL = 1e-6  # largest relative miss of a fit, and |h1 - 1| of a table's
 FIT_SHAPES = (1.0, 4.0, 16.0)  # gamma shapes of the fit's Levy densities
-FIT_NODES = np.logspace(-4, 6, 201)  # w at which from_lst and hand-built models are fitted
+FIT_NODES = np.logspace(-4, 6, 201)  # w at which from_lst samples G and a bare h is fitted
 
 
 def _as_float_array(z):
@@ -40,31 +40,23 @@ def _as_float_array(z):
 
 
 class BernsteinModel:
-    """A Bernstein function h with derivative access and Levy mass C = lim h.
+    """A Bernstein function h with h'(0), h''(0) and Levy mass C = lim h.
 
-    `fn` must accept numpy arrays; `deriv(n, z)` returns the n-th
-    derivative for n >= 1.  C is finite for finite activity, `math.inf`
-    otherwise.  A model is either a closed form (the two builtins) or
-    fitted: `measure` is the Levy measure (c, k, x) of a model built by
-    `fit_bernstein`, None otherwise.  Only the builtins and the fit set
-    `family` ("rational", "logarithmic", "levy"): `mixing` and
-    `validation` use the closed forms it names.
+    `fn` must accept numpy arrays.  C is finite for finite activity,
+    `math.inf` otherwise.  A model is either a closed form (the two
+    builtins) or fitted: `measure` is the Levy measure (c, k, x) of a model
+    built by `fit_bernstein`, None otherwise.  Only the builtins and the
+    fit set `family` ("rational", "logarithmic", "levy"): `mixing` and
+    `validation` use the closed forms it names, and `mixing` refuses a
+    model without one.  A bare h is modelled by
+    `fit_bernstein(FIT_NODES, h(FIT_NODES))`.
     """
 
     family = None
     measure = None
 
-    def __init__(
-        self,
-        fn: Callable,
-        deriv: Callable,
-        *,
-        h1: float,
-        h2: float,
-        C: float = math.inf,
-    ):
+    def __init__(self, fn: Callable, *, h1: float, h2: float, C: float = math.inf):
         self._fn = fn
-        self._deriv = deriv
         self.h1 = float(h1)
         self.h2 = float(h2)
         self.C = float(C)
@@ -80,13 +72,6 @@ class BernsteinModel:
         out = self._fn(arr)
         return float(out) if np.ndim(z) == 0 else out
 
-    def nth_derivative(self, n: int, z: float) -> float:
-        if n < 1:
-            raise ValueError("derivative order must be >= 1")
-        if z < 0:
-            raise ValueError("Bernstein functions are defined for z >= 0 only")
-        return float(self._deriv(n, z))
-
     def __repr__(self):
         return f"BernsteinModel({self.family}, h1={self.h1:g}, h2={self.h2:g}, C={self.C:g})"
 
@@ -101,21 +86,14 @@ def make_builtin_finite() -> BernsteinModel:
     def fn(z):
         return z / (z + 1.0)
 
-    def deriv(n, z):  # (-1)^(n+1) n! (1+z)^-(n+1)
-        return (-1.0) ** (n + 1) * float(np.exp(gammaln(n + 1.0) - (n + 1.0) * math.log1p(z)))
-
-    model = BernsteinModel(fn, deriv, h1=1.0, h2=-2.0, C=1.0)
+    model = BernsteinModel(fn, h1=1.0, h2=-2.0, C=1.0)
     model.family = "rational"
     return model
 
 
 def make_builtin_infinite() -> BernsteinModel:
     """h(z) = ln(1 + z): infinite activity, logarithmic cluster sizes."""
-
-    def deriv(n, z):  # (-1)^(n+1) (n-1)! (1+z)^-n
-        return (-1.0) ** (n + 1) * float(np.exp(gammaln(float(n)) - n * math.log1p(z)))
-
-    model = BernsteinModel(np.log1p, deriv, h1=1.0, h2=-1.0)
+    model = BernsteinModel(np.log1p, h1=1.0, h2=-1.0)
     model.family = "logarithmic"
     return model
 
@@ -212,10 +190,7 @@ def _levy_model(measure) -> BernsteinModel:
     def fn(z):
         return -np.expm1(-k * np.log1p(np.asarray(z)[..., None] * (x / k))) @ c
 
-    def deriv(n, z):
-        return (-1.0) ** (n + 1) * float(np.exp(levy_log_moments(measure, n, z)))
-
-    model = BernsteinModel(fn, deriv, h1=float(c @ x),
+    model = BernsteinModel(fn, h1=float(c @ x),
                            h2=-float(np.sum(c * x ** 2 * (k + 1.0) / k)),
                            C=float(c.sum()))
     model.family, model.measure = "levy", measure

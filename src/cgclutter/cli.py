@@ -73,9 +73,13 @@ def _load_lst_table(path, nu) -> BernsteinModel:
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("LST table must have two columns: z and G(z)")
     z, g = data[:, 0], data[:, 1]
+    bad = z[~np.isfinite(z)]
+    if len(bad):
+        raise ValueError(f"LST table abscissae must be finite, not z = {bad[0]:g}")
     if z[0] != 0.0:
         raise ValueError("LST table must start at z = 0")
-    if np.any(np.diff(z) <= 0):
+    # "all increasing" rather than "any not", so that NaN fails it
+    if not np.all(z[1:] > z[:-1]):
         raise ValueError("LST table abscissae must be strictly increasing")
     return fit_transform(z, g, nu)
 

@@ -4,31 +4,27 @@ The discrete mixing variable K has PGF 1 - h(kappa(1-u))/h(kappa) and PMF
 p(n) = -(-kappa)^n h^(n)(kappa) / (n! h(kappa)) for n >= 1, zero at n = 0.
 For the built-in models this reduces to the geometric (h = z/(z+1)) and
 logarithmic (h = ln(1+z)) families, which get exact log-domain closed
-forms and native samplers.  Any other model goes through its fitted
-gamma-mixture Levy measure (`fit_bernstein`): K is then a mixture of
-zero-truncated negative binomials.  Finite-activity models additionally
-admit a continuous mixing variable xi with transform g(z) = 1 - h((C/h1) z)/C.
+forms and native samplers.  Any other model is a gamma-mixture Levy
+measure fitted by `fit_bernstein`: K is then a mixture of zero-truncated
+negative binomials.  A model that is neither is refused.  Finite-activity
+models additionally admit a continuous mixing variable xi with transform
+g(z) = 1 - h((C/h1) z)/C, drawn by `sample_xi`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
-from ._export import write_csv
-from .bernstein import FIT_NODES, BernsteinModel, fit_bernstein, levy_log_moments
+from .bernstein import BernsteinModel, levy_log_moments
 
 __all__ = [
     "MixingLaw",
-    "ContinuousMixing",
     "pgf_k",
-    "pmf_k",
     "sample_k",
-    "continuous_mixing",
+    "sample_xi",
 ]
 
 CACHE_TARGET_MASS = 1.0 - 1e-10
@@ -43,20 +39,27 @@ CACHE_CHUNK = 2 ** 18  # orders x components evaluated at once: 2 MB per tempora
 LOGSERIES_BLOCK = 2 ** 16
 
 
-def _with_measure(model: BernsteinModel) -> BernsteinModel:
-    """A builtin or fitted model as it is; a hand-built one fitted on FIT_NODES."""
-    if model.family in ("rational", "logarithmic", "levy"):
-        return model
-    return fit_bernstein(FIT_NODES, model(FIT_NODES))
+def _check_model(model: BernsteinModel, finite: bool = False):
+    """Refuse a model that is neither a builtin nor fitted and, with
+    `finite`, one of infinite activity."""
+    if finite and not math.isfinite(model.C):
+        raise ValueError(
+            "continuous mixing exists only for finite-activity models; "
+            "infinite-activity cluster sizes degenerate to zero"
+        )
+    if model.family is None:
+        raise ValueError("the model is neither a builtin nor fitted: "
+                         "fit a bare h by fit_bernstein(FIT_NODES, h(FIT_NODES))")
 
 
 class MixingLaw:
-    """The discrete mixing variable K(kappa) for a given Bernstein model."""
+    """The discrete mixing variable K(kappa) for a builtin or fitted model."""
 
     def __init__(self, model: BernsteinModel, kappa: float):
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
-        self.model = model = _with_measure(model)
+        if not 0 < kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        _check_model(model)
+        self.model = model
         self.kappa = float(kappa)
         if model.family == "logarithmic" and not self._log_p < 1.0:
             raise ValueError(f"kappa {kappa!r} is too large for the log-series law: "
@@ -112,13 +115,6 @@ class MixingLaw:
         self.cdf_table = np.cumsum(pmf)
         self.mass = float(self.cdf_table[-1])
 
-    # -- exports ----------------------------------------------------------
-
-    def export_pmf_csv(self, path):
-        n = np.arange(1, len(self.pmf_table) + 1)
-        with open(path, "w", newline="") as f:
-            write_csv(f, ["n", "p"], n, self.pmf_table)
-
 
 def pgf_k(law: MixingLaw, u: float) -> float:
     """E[u^K] = 1 - h(kappa(1-u)) / h(kappa) for u in (0, 1]."""
@@ -127,27 +123,37 @@ def pgf_k(law: MixingLaw, u: float) -> float:
     return 1.0 - law.model(law.kappa * (1.0 - u)) / law.h_kappa
 
 
-def pmf_k(law: MixingLaw, n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0.0
-    return float(np.exp(law._log_pmf_block(np.array([n]))[0]))
-
-
 def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
     """Draw cluster sizes; native samplers for the builtin families."""
     if law.model.family == "rational":
         return rng.geometric(law._geom_p, size=size)
     if law.model.family == "logarithmic":
         return _logseries(rng, law._log_p, size)
-    if law.mass < CACHE_TARGET_MASS:
+    if not law.mass >= CACHE_TARGET_MASS:
         raise ValueError(
             f"cached PMF mass {law.mass!r} is short of {CACHE_TARGET_MASS!r}; "
             "tail too heavy for the supported truncation"
         )
     u = rng.random(size=size)
     return np.searchsorted(law.cdf_table, u, side="left") + 1
+
+
+def sample_xi(model: BernsteinModel, rng: np.random.Generator, size=None):
+    """Draw the continuous mixing variable xi of a finite-activity model,
+    with unit mean and transform 1 - h((C/h1) z)/C.
+
+    Rejects infinite-activity models: their normalized cluster sizes
+    collapse to a point mass at zero in the limit.
+    """
+    _check_model(model, finite=True)
+    if model.family == "rational":
+        return rng.exponential(1.0, size=size)
+    # xi mixes Gamma(k_j, scale theta_j) with weights c_j / C: its
+    # transform 1 - h((C/h1) z)/C, term by term
+    c, k, x = model.measure
+    j = rng.choice(len(c), size=size, p=c / model.C)
+    theta = (model.C / model.h1) * x / k
+    return rng.gamma(k[j], theta[j])
 
 
 def _logseries(rng: np.random.Generator, p: float, size=None):
@@ -219,54 +225,3 @@ def _logseries(rng: np.random.Generator, p: float, size=None):
         done += len(k)
     return int(out[0]) if size is None else out.reshape(size)
 
-
-# ---------------------------------------------------------------------------
-# Continuous mixing variable for finite-activity models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContinuousMixing:
-    """Nonnegative mixing variable xi with unit mean."""
-
-    cdf: Callable
-    _sampler: Callable
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self._sampler(rng, size)
-
-
-def continuous_mixing(model: BernsteinModel) -> ContinuousMixing:
-    """Build the continuous mixing law xi for a finite-activity model.
-
-    Rejects infinite-activity models: their normalized cluster sizes
-    collapse to a point mass at zero in the limit.
-    """
-    if not math.isfinite(model.C):
-        raise ValueError(
-            "continuous mixing exists only for finite-activity models; "
-            "infinite-activity cluster sizes degenerate to zero"
-        )
-    if model.family == "rational":
-        def cdf(s):
-            return -np.expm1(-np.asarray(s, dtype=float))
-
-        def sampler(rng, size):
-            return rng.exponential(1.0, size=size)
-
-        return ContinuousMixing(cdf, sampler)
-
-    # xi mixes Gamma(k_j, scale theta_j) with weights c_j / C: its
-    # transform 1 - h((C/h1) z)/C, term by term
-    model = _with_measure(model)
-    c, k, x = model.measure
-    weights = c / model.C
-    theta = (model.C / model.h1) * x / k
-
-    def cdf(s):
-        return gammainc(k, np.asarray(s, dtype=float)[..., None] / theta) @ weights
-
-    def sampler(rng, size):
-        j = rng.choice(len(c), size=size, p=weights)
-        return rng.gamma(k[j], theta[j])
-
-    return ContinuousMixing(cdf, sampler)

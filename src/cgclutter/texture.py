@@ -23,7 +23,7 @@ import numpy as np
 
 from ._export import write_csv
 from .bernstein import BernsteinModel
-from .mixing import MixingLaw, continuous_mixing, sample_k
+from .mixing import MixingLaw, _check_model, sample_k, sample_xi
 
 __all__ = [
     "ArrivalBudgetError",
@@ -64,8 +64,10 @@ class SimConfig:
     kappa: float = 150.0
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.gamma, self.window, self.duration, self.dt)):
-            raise ValueError("gamma, window, duration and dt must all be positive and finite")
+        if not all(0 < v < np.inf for v in (self.gamma, self.window, self.duration, self.dt,
+                                            self.kappa)):
+            raise ValueError("gamma, window, duration, dt and kappa must all be positive "
+                             "and finite")
         if self.dt >= self.window:
             raise ValueError("dt must be smaller than the window length")
         if self.mode not in MODES:
@@ -248,10 +250,10 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if cfg.mode == "finite-exact":
-        mix = continuous_mixing(model)  # rejects infinite activity
+        _check_model(model, finite=True)  # before any arrival is drawn
         lam = cfg.gamma * model.C
         arrivals = poisson_arrivals(lam, cfg.duration + cfg.window, rng)
-        marks = mix.sample(rng, size=len(arrivals)) / (lam * cfg.window)
+        marks = sample_xi(model, rng, size=len(arrivals)) / (lam * cfg.window)
         return windowed_process(arrivals, marks, cfg.window, cfg.duration)
     if cfg.mode == "infinite-approx":
         if cfg.kappa < 10:

@@ -1,5 +1,7 @@
-"""Oracle checks: simulated and computed laws against their closed forms,
-and a hand-built model's Bernstein side conditions.
+"""Oracle checks: simulated and computed laws against their closed forms.
+
+A model needs no check of its own: the builtins are Bernstein in closed
+form, and `fit_bernstein` fits a nonnegative Levy measure or refuses h.
 
 Every check is a pure function returning `Check` rows.  `cgclutter
 validate` prints the rows and the acceptance suite asserts them, so both
@@ -22,9 +24,6 @@ from .mixing import MixingLaw, pgf_k
 # G(z) -> e^-z is a statement about nu -> infinity, so it is checked at one
 # large shape whatever shape a run uses
 GAUSSIAN_LIMIT_NU = 1e4
-# a hand-built h's derivative signs are probed on a grid, its growth at one large z
-BERNSTEIN_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-BERNSTEIN_PROBE = 1e8
 
 
 class Check(NamedTuple):
@@ -106,20 +105,3 @@ def gaussian_limit_checks(model) -> list:
     d = gaussian_limit_distance(model, GAUSSIAN_LIMIT_NU, 5.0)
     return [_check("sup_G_minus_exp", d, 0.0, 1e-3)]
 
-
-def bernstein_checks(model) -> list:
-    """The side conditions of a hand-built model: h(0) = 0, sublinear growth,
-    the signs of (-1)^(n+1) h^(n) for n = 1..5 (h' completely monotone) and,
-    for finite C, h -> C.  The builtins and fits are Bernstein by construction.
-    """
-    far = float(model(BERNSTEIN_PROBE))
-    growth = far / BERNSTEIN_PROBE
-    rows = [_check("zero_at_origin", float(model(0.0)), 0.0, 1e-12),
-            Check("sublinear_growth", growth, 0.0, 1e-4, growth < 1e-4)]
-    for n in range(1, 6):
-        worst = float(np.min([(-1.0) ** (n + 1) * model.nth_derivative(n, z)
-                              for z in BERNSTEIN_GRID]))
-        rows.append(Check(f"alternation_order_{n - 1}", worst, 0.0, 1e-9, worst >= -1e-9))
-    if math.isfinite(model.C):
-        rows.append(_check("finite_activity_plateau", abs(far - model.C) / model.C, 0.0, 1e-3))
-    return rows

@@ -14,7 +14,6 @@ import pytest
 from scipy.integrate import quad
 
 from cgclutter import (
-    BernsteinModel,
     MixingLaw,
     SimConfig,
     gamma_texture_law,
@@ -22,16 +21,16 @@ from cgclutter import (
     make_builtin_finite,
     make_builtin_infinite,
     negbin_pmf,
-    pmf_k,
     polya_aeppli_pmf,
     sample_on_grid,
     simulate,
     summarize,
     total_variation,
 )
+from cgclutter.bernstein import FIT_NODES, fit_bernstein
 from cgclutter.cli import main as cli_main
-from cgclutter.validation import (bernstein_checks, covariance_checks, gaussian_limit_checks,
-                                  marginal_checks, mixing_checks, moment_checks)
+from cgclutter.validation import (covariance_checks, gaussian_limit_checks, marginal_checks,
+                                  mixing_checks, moment_checks)
 
 
 @pytest.fixture
@@ -201,11 +200,11 @@ def test_07_mixing_consistency(announce):
     detail = []
     for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 150.0)):
         ok &= all(r.ok for r in mixing_checks(model, kappa))
+    n = np.arange(1, 51)
     law = MixingLaw(make_builtin_finite(), 9.0)
-    worst_g = max(abs(pmf_k(law, n) - 0.1 * 0.9 ** (n - 1)) for n in range(1, 51))
+    worst_g = np.max(np.abs(law.pmf_table[:50] - 0.1 * 0.9 ** (n - 1)))
     law = MixingLaw(make_builtin_infinite(), 1.0)
-    worst_l = max(abs(pmf_k(law, n) + 0.5 ** n / (n * math.log(0.5)))
-                  for n in range(1, 51))
+    worst_l = np.max(np.abs(law.pmf_table[:50] + 0.5 ** n / (n * math.log(0.5))))
     ok &= worst_g < 1e-12 and worst_l < 1e-12
     announce(7, ok, f"mixing PGF/PMF/mean consistent; closed-form dev "
                     f"geom {worst_g:.1e}, log {worst_l:.1e} < 1e-12")
@@ -244,19 +243,20 @@ def test_09_transform_moments(announce):
 
 
 def test_10_bernstein_validation(announce):
-    def passes(model):
-        return all(r.ok for r in bernstein_checks(model))
+    # an h is checked by fitting a nonnegative Levy measure to it on
+    # FIT_NODES: a relative miss above 1e-6 is refused
+    def passes(h):
+        try:
+            fit_bernstein(FIT_NODES, h(FIT_NODES))
+        except ValueError as exc:
+            assert "relative miss" in str(exc)
+            return False
+        return True
 
     ok_f = passes(make_builtin_finite())
     ok_i = passes(make_builtin_infinite())
-    square = BernsteinModel(lambda z: np.asarray(z, dtype=float) ** 2,
-                            lambda n, z: {1: 2 * z, 2: 2.0}.get(n, 0.0),
-                            h1=1.0, h2=0.0)
-    identity = BernsteinModel(lambda z: np.asarray(z, dtype=float),
-                              lambda n, z: 1.0 if n == 1 else 0.0,
-                              h1=1.0, h2=0.0)
-    rej_sq = not passes(square)
-    rej_id = not passes(identity)
+    rej_sq = not passes(np.square)
+    rej_id = not passes(lambda z: z)
     ok = ok_f and ok_i and rej_sq and rej_id
     announce(10, ok, f"builtins accepted ({ok_f}/{ok_i}); z^2 and z rejected "
                      f"({rej_sq}/{rej_id})")

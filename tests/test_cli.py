@@ -238,6 +238,19 @@ def test_not_unit_mean_table_exit_3(command, h, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "sim").exists()
 
 
+# a NaN abscissa fails every comparison, and an infinite one has no place
+# in the fit, even where G = 0 there
+@pytest.mark.parametrize("row", ["nan,0.1", "inf,0.1", "inf,0"], ids=["nan", "inf", "inf-G0"])
+def test_nonfinite_lst_abscissa_exit_3(row, tmp_path, capsys):
+    table = finite_lst_table(tmp_path / "lst.csv")
+    table.write_text(table.read_text() + row + "\n")
+    code = run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                "--duration", "200", "--out", tmp_path / "sim"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "abscissae must be finite" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "finite-k", "--nu", "-2", "--out", "x"],
     ["simulate", "--model", "finite-k", "--nu", "2", "--dt", "0", "--out", "x"],

@@ -10,9 +10,7 @@ import hashlib
 
 import pytest
 
-from cgclutter.bernstein import make_builtin_finite, make_builtin_infinite
 from cgclutter.cli import main
-from cgclutter.mixing import MixingLaw
 
 SIMULATE_PINS = {
     "finite-k": {
@@ -28,7 +26,8 @@ SIMULATE_PINS = {
 }
 
 # the k-texture pdf is scipy.special.i1e's and its cdf chndtr's and i0e's,
-# so this pin carries their last bits; the gamma pdf at nu < 1 is +inf at x = 0
+# so this pin carries their last bits; the gamma pdf at nu < 1 is +inf at x = 0;
+# the polya-aeppli and negbin tables pin the writer's integer column n
 LAWTABLE_PINS = {
     ("k-texture", "--nu", "2"):
         "d5ea68c89e31ca6888345a1b341e09bbcd947bba71a9fa7a2d024418f3369a60",
@@ -68,14 +67,3 @@ def test_lawtable(flags, tmp_path):
     assert main(["lawtable", "--law", *flags, "--out", str(out)]) == 0
     assert sha256(out) == LAWTABLE_PINS[flags]
 
-
-@pytest.mark.parametrize("model, kappa, digest", [
-    (make_builtin_finite(), 9.0,
-     "3b5aa165d2d89802538a202ac68d77dfe4f6bd1274046ad36233e57dc4e6d3dc"),
-    (make_builtin_infinite(), 150.0,
-     "9e41386e4f73a4d38ba7de512a38118e4ca6aeaa10df28a08119cf1aa24b13a6"),
-], ids=["geometric", "logarithmic"])
-def test_mixing_pmf_export(model, kappa, digest, tmp_path):
-    out = tmp_path / "pmf.csv"
-    MixingLaw(model, kappa).export_pmf_csv(out)
-    assert sha256(out) == digest

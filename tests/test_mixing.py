@@ -9,20 +9,28 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
 
 from cgclutter import (
+    BernsteinModel,
     MixingLaw,
     SimConfig,
-    continuous_mixing,
     make_builtin_finite,
     make_builtin_infinite,
     pgf_k,
-    pmf_k,
     sample_k,
     sample_on_grid,
+    sample_xi,
     simulate,
 )
 from cgclutter import mixing
 from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, from_lst
 from cgclutter.cli import _load_lst_table
+from cgclutter.estimators import ks_critical, ks_distance
+
+# ln |h^(n)(z)| of the builtins: n! (1+z)^-(n+1) for z/(z+1), (n-1)! (1+z)^-n
+# for ln(1+z); the sign of h^(n) is (-1)^(n+1)
+LOG_ABS_DERIVATIVE = {
+    "rational": lambda n, z: gammaln(n + 1.0) - (n + 1.0) * math.log1p(z),
+    "logarithmic": lambda n, z: gammaln(float(n)) - n * math.log1p(z),
+}
 
 
 def pmf_from_derivatives(model, kappa, n):
@@ -30,9 +38,8 @@ def pmf_from_derivatives(model, kappa, n):
     p(n) = -(-kappa)^n h^(n)(kappa) / (n! h(kappa))."""
     if n == 0:
         return 0.0
-    d = (-1.0) ** (n + 1) * model.nth_derivative(n, kappa)  # >= 0 for a Bernstein h
-    log_scale = n * math.log(kappa) - gammaln(n + 1.0) - math.log(model(kappa))
-    return math.copysign(math.exp(math.log(abs(d)) + log_scale), d) if d else 0.0
+    return math.exp(LOG_ABS_DERIVATIVE[model.family](n, kappa) + n * math.log(kappa)
+                    - gammaln(n + 1.0) - math.log(model(kappa)))
 
 
 def finite_table(path, nu):
@@ -49,7 +56,7 @@ class TestClosedForms:
         law = MixingLaw(make_builtin_finite(), 9.0)
         p = 0.1
         for n in range(1, 51):
-            assert pmf_k(law, n) == pytest.approx(p * (1 - p) ** (n - 1), rel=1e-12)
+            assert law.pmf_table[n - 1] == pytest.approx(p * (1 - p) ** (n - 1), rel=1e-12)
 
     def test_logarithmic_pmf(self):
         # h = ln(1+z) at kappa: parameter p = kappa/(1+kappa)
@@ -57,18 +64,21 @@ class TestClosedForms:
         p = 0.5
         for n in range(1, 51):
             want = -(p ** n) / (n * math.log1p(-p))
-            assert pmf_k(law, n) == pytest.approx(want, rel=1e-12)
+            assert law.pmf_table[n - 1] == pytest.approx(want, rel=1e-12)
 
     def test_pmf_at_zero_is_zero(self):
+        # E[u^K] = p(0) + p(1) u + O(u^2): no constant term, and the table
+        # starts at n = 1
         law = MixingLaw(make_builtin_finite(), 9.0)
-        assert pmf_k(law, 0) == 0.0
+        u = 1e-9
+        assert pgf_k(law, u) == pytest.approx(law.pmf_table[0] * u, rel=1e-6)
 
     def test_derivative_route_matches_closed_forms(self):
         for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 1.0)):
             law = MixingLaw(model, kappa)
             for n in range(1, 51):
                 assert pmf_from_derivatives(model, kappa, n) == pytest.approx(
-                    pmf_k(law, n), rel=1e-12, abs=1e-300
+                    law.pmf_table[n - 1], rel=1e-12, abs=1e-300
                 )
 
     def test_derivative_route_high_order_log_domain(self):
@@ -157,15 +167,12 @@ class TestSampling:
         rng = np.random.default_rng(5)
         k = sample_k(law, rng, size=500_000)
         counts = np.bincount(k)
-        tv = 0.0
-        for n in range(1, len(counts)):
-            tv += abs(counts[n] / len(k) - pmf_k(law, n))
+        tv = np.abs(counts[1:] / len(k) - law.pmf_table[:len(counts) - 1]).sum()
         assert 0.5 * tv < 0.005
 
     def test_generic_inversion_sampler(self):
-        # strip the family tag so sampling falls back to CDF inversion
-        model = make_builtin_finite()
-        model.family = None
+        # the Levy measure fitted to z/(z+1) is sampled by CDF inversion
+        model = fit_bernstein(FIT_NODES, make_builtin_finite()(FIT_NODES))
         law = MixingLaw(model, 9.0)
         rng = np.random.default_rng(3)
         k = sample_k(law, rng, size=200_000)
@@ -273,38 +280,36 @@ class TestLogseries:
             MixingLaw(make_builtin_infinite(), 1e17)
 
 
+def assert_ks(x, cdf):
+    """x passes the Kolmogorov-Smirnov test against cdf at level 0.01."""
+    assert ks_distance(x, cdf) < ks_critical(len(x), 0.01)
+
+
 class TestContinuousMixing:
     def test_rational_is_unit_exponential(self):
-        mix = continuous_mixing(make_builtin_finite())
-        s = np.array([0.0, 0.5, 1.0, 3.0])
-        np.testing.assert_allclose(mix.cdf(s), 1.0 - np.exp(-s), rtol=1e-12)
-        rng = np.random.default_rng(2)
-        x = mix.sample(rng, size=200_000)
+        x = sample_xi(make_builtin_finite(), np.random.default_rng(2), size=200_000)
+        assert_ks(x, lambda s: -np.expm1(-s))
         assert x.mean() == pytest.approx(1.0, rel=0.01)
         assert x.var() == pytest.approx(1.0, rel=0.02)
 
     def test_rejects_infinite_activity(self):
         with pytest.raises(ValueError, match="finite-activity"):
-            continuous_mixing(make_builtin_infinite())
+            sample_xi(make_builtin_infinite(), np.random.default_rng(0))
 
     def test_generic_inversion_matches_exponential(self):
         # same rational model rebuilt without its family tag: xi from the
         # Levy measure fitted to it must be the unit exponential
         nu = 2.0
         model = from_lst(LimitTransform(make_builtin_finite(), nu), nu)
-        mix = continuous_mixing(model)
-        s = np.linspace(0.05, 6.0, 60)
-        np.testing.assert_allclose(mix.cdf(s), 1.0 - np.exp(-s), atol=1e-5)
-        rng = np.random.default_rng(8)
-        x = mix.sample(rng, size=100_000)
+        x = sample_xi(model, np.random.default_rng(8), size=100_000)
+        assert_ks(x, lambda s: -np.expm1(-s))
         assert x.mean() == pytest.approx(1.0, rel=0.03)
 
     def test_bare_function_fits_non_completely_monotone_density(self):
         # h = 1 - 4/(z+2)^2 has Levy density 4s e^(-2s), so xi ~ Gamma(2, 1/2)
         model = fit_bernstein(FIT_NODES, 1.0 - 4.0 / (FIT_NODES + 2.0) ** 2)
-        s = np.linspace(0.0, 8.0, 81)
-        np.testing.assert_allclose(continuous_mixing(model).cdf(s),
-                                   gammainc(2.0, 2.0 * s), atol=1e-5)
+        x = sample_xi(model, np.random.default_rng(9), size=100_000)
+        assert_ks(x, lambda s: gammainc(2.0, 2.0 * s))
 
     def test_tabulated_transform_matches_exponential(self, tmp_path):
         # The same finite builtin, with G tabulated at 400 log-spaced points
@@ -313,7 +318,7 @@ class TestContinuousMixing:
         # are all 1.
         nu = 2.0
         model = _load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu)
-        x = continuous_mixing(model).sample(np.random.default_rng(8), size=100_000)
+        x = sample_xi(model, np.random.default_rng(8), size=100_000)
         cfg = SimConfig(gamma=0.25, window=8.0, duration=2e4, dt=0.1, seed=3)
         tau = sample_on_grid(simulate(model, cfg), cfg.dt)
         assert (x.mean(), tau.mean(), tau.var()) == pytest.approx((1.0, 1.0, 1.0), rel=0.1)
@@ -363,7 +368,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             MixingLaw(make_builtin_finite(), 0.0)
 
-    def test_pmf_rejects_negative_n(self):
-        law = MixingLaw(make_builtin_finite(), 9.0)
-        with pytest.raises(ValueError):
-            pmf_k(law, -1)
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_rejects_nonfinite_kappa(self, kappa):
+        # a fitted model's PMF table at kappa = inf is NaN, and was sampled
+        # as clusters of size 1
+        model = fit_bernstein(FIT_NODES, make_builtin_infinite()(FIT_NODES))
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            MixingLaw(model, kappa)
+
+    def test_refuses_model_neither_builtin_nor_fitted(self):
+        bare = BernsteinModel(lambda z: z / (z + 1.0), h1=1.0, h2=-2.0, C=1.0)
+        with pytest.raises(ValueError, match="fit_bernstein"):
+            MixingLaw(bare, 9.0)
+        with pytest.raises(ValueError, match="fit_bernstein"):
+            sample_xi(bare, np.random.default_rng(0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgclutter import (
     ArrivalBudgetError,
+    BernsteinModel,
     SimConfig,
     TexturePath,
     make_builtin_finite,
@@ -35,6 +36,7 @@ class TestSimConfig:
         {"gamma": 0.0}, {"window": -1.0}, {"duration": 0.0}, {"dt": 0.0},
         {"dt": 8.0},  # dt must be < window
         {"mode": "bogus"},
+        {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": np.inf}, {"kappa": np.nan},
     ])
     def test_rejects_bad_values(self, kw):
         base = dict(gamma=0.25, window=8.0, duration=100.0, dt=0.1, seed=1)
@@ -391,6 +393,16 @@ class TestSimulate:
                          mode="infinite-approx", kappa=50.0)
         with pytest.warns(UserWarning, match="kappa below 100"):
             simulate(model, cfg2)
+
+    def test_finite_exact_refuses_model_before_arrivals(self):
+        # at 1e12 time units the arrival budget would trip first; a model
+        # without continuous mixing is refused before any arrival is drawn
+        cfg = SimConfig(gamma=0.25, window=8.0, duration=1e12, dt=0.1, seed=1)
+        with pytest.raises(ValueError, match="finite-activity"):
+            simulate(make_builtin_infinite(), cfg)
+        bare = BernsteinModel(lambda z: z / (z + 1.0), h1=1.0, h2=-2.0, C=1.0)
+        with pytest.raises(ValueError, match="fit_bernstein"):
+            simulate(bare, cfg)
 
 
 class TestExports:
