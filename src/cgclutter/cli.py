@@ -69,8 +69,11 @@ def _load_lst_table(path, nu) -> BernsteinModel:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read --lst-file {path}: {exc.strerror}") from exc
-    data = np.loadtxt(io.StringIO(text.replace(",", " ")))
-    if data.ndim != 2 or data.shape[1] < 2:
+    # np.loadtxt skips blank lines and "#" comments, and warns on no rows
+    if not any(line.split("#", 1)[0].strip() for line in text.splitlines()):
+        raise ValueError(f"LST table {path} is empty")
+    data = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2)
+    if data.shape[1] < 2:
         raise ValueError("LST table must have two columns: z and G(z)")
     z, g = data[:, 0], data[:, 1]
     bad = z[~np.isfinite(z)]
@@ -81,6 +84,8 @@ def _load_lst_table(path, nu) -> BernsteinModel:
     # "all increasing" rather than "any not", so that NaN fails it
     if not np.all(z[1:] > z[:-1]):
         raise ValueError("LST table abscissae must be strictly increasing")
+    if len(z) < 2:
+        raise ValueError("LST table needs a row with z > 0")
     return fit_transform(z, g, nu)
 
 

@@ -251,6 +251,24 @@ def test_nonfinite_lst_abscissa_exit_3(row, tmp_path, capsys):
     assert "abscissae must be finite" in err and err.count("\n") == 1
 
 
+# an empty table would reach np.loadtxt's "no data" warning, and a one-row
+# table the fit's internals: both are refused by name, with no warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("\n# z, G(z)\n\n", "is empty"),
+    ("0,1\n", "needs a row with z > 0"),
+], ids=["empty", "comments-only", "one-row"])
+def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
+    table = tmp_path / "lst.csv"
+    table.write_text(text)
+    code = run(["validate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                "--suite", "moments"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "finite-k", "--nu", "-2", "--out", "x"],
     ["simulate", "--model", "finite-k", "--nu", "2", "--dt", "0", "--out", "x"],

@@ -155,6 +155,69 @@ def test_unequal_columns_rejected():
         written(["a", "b"], [[1.0, 2.0], [1.0]])
 
 
+def test_header_and_columns_must_match():
+    with pytest.raises(ValueError, match="header names 2 columns, but 1 are given"):
+        written(["a", "b"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="at least one column"):
+        written([], [])
+
+
+ROWS = BLOCK_VALUES // 2  # rows per block of a two-column table
+
+
+def with_time(tau):
+    """A texture-like table: a t column with no repeats beside tau."""
+    return ["t", "tau"], [np.arange(len(tau)) * 0.1, np.asarray(tau, dtype=float)]
+
+
+def test_runs_across_block_boundaries():
+    # runs ending one row before, at and one row after a block boundary,
+    # and one run over more than two whole blocks
+    lengths = [ROWS - 1, 2, ROWS - 2, 1, 2 * ROWS + 3, 5]
+    tau = np.repeat(np.random.default_rng(3).gamma(2.0, 0.5, len(lengths)), lengths)
+    assert_same(written(*with_time(tau)), reference(*with_time(tau)))
+
+
+def test_runs_of_percent_route_values():
+    values = [np.nan, NAN_PAYLOAD, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e-5, -1e-5, 1e20, -1e20, np.inf, 1e-5]
+    lengths = [3, 2, 1, ROWS, 4, 7, 1, ROWS + 1, 2, 3, 5, 2]
+    tau = np.repeat(values, lengths)
+    assert_same(written(*with_time(tau)), reference(*with_time(tau)))
+
+
+def test_alternating_signed_zeros():
+    # a run never joins 0.0 and -0.0, whose bits differ
+    for tau in (np.resize([0.0, -0.0], 2 * ROWS + 3),
+                np.repeat([0.0, -0.0, 0.0, -0.0], [ROWS, 3, ROWS, 2])):
+        got = written(*with_time(tau))
+        assert_same(got, reference(*with_time(tau)))
+        assert [line.split(",")[1] for line in got.split("\n")[1:5]] == [
+            "-0" if np.signbit(v) else "0" for v in tau[:4]]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_constant_column_over_three_blocks(k, monkeypatch):
+    tau = np.full(3 * ROWS, 0.73105857863000487)
+    cpus(monkeypatch, k)
+    assert_same(written(*with_time(tau)), reference(*with_time(tau)))
+
+
+def test_each_run_formatted_once_per_block(monkeypatch):
+    # a run is formatted once in each block it reaches, so a column of k
+    # runs over b blocks puts at most k + b values through the digits
+    lengths = np.random.default_rng(4).integers(1, 3000, 200)
+    col = np.repeat(np.random.default_rng(5).standard_normal(len(lengths)), lengths)
+    blocks = -(-len(col) // BLOCK_VALUES)
+    assert blocks > 1
+    seen = []
+    digits = _export._digits
+    monkeypatch.setattr(_export, "_digits", lambda x: seen.append(len(x)) or digits(x))
+    got = written(["x"], [col])
+    assert_same(got, reference(["x"], [col]))
+    assert len(lengths) <= sum(seen) <= len(lengths) + blocks
+
+
 def differential_sample():
     """Fixed-seed values at the edges of the numpy digit kernel: its range
     ends, decimal-exponent boundaries, rounding ties and the special values
@@ -192,3 +255,12 @@ def test_only_exponent_form_and_non_finite_take_percent():
     a = np.abs(x)
     _, _, exact = _export._digits(x)
     np.testing.assert_array_equal(~exact, ~np.isfinite(x) | ((a != 0) & ((a < 1e-4) | (a >= 1e17))))
+
+
+def test_log10_rounding_down_takes_percent(monkeypatch):
+    # a log10 one ulp low at a power of ten gives a k one too small and 18
+    # digits: the guard sends those values to `%`, and nothing else changes
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    x = np.array([1e16, -1e16, 1e3, 100.0, 1.0, 1e-3, 1e-4, 123.5, 0.1])
+    assert_same(written(["x"], [x]), reference(["x"], [x]))
