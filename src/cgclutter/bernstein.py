@@ -103,16 +103,26 @@ def make_builtin_infinite() -> BernsteinModel:
 # ---------------------------------------------------------------------------
 
 def fit_transform(z, g, nu) -> BernsteinModel:
-    """Fit h(w) = -ln G(nu w) / nu from samples g = G(z) at z >= 0, z[0] = 0.
+    """Fit h(w) = -ln G(nu w) / nu to a table g = G(z), whichever way it comes in.
 
-    G must be the Laplace-Stieltjes transform of a unit-mean law, so
-    G(0) = 1, 0 <= G <= 1 and the fitted h'(0) = 1 within FIT_TOL.  Nodes
-    where G rounds to 1 (h = 0) or underflows to 0 (h infinite) are dropped;
-    the rest go to `fit_bernstein`.
+    Raises ValueError unless nu is positive and finite, z is finite and
+    strictly increasing from z[0] = 0 to some z > 0, and G is the transform
+    of a unit-mean law: G(0) = 1, 0 <= G <= 1 and the fitted h'(0) = 1
+    within FIT_TOL.  Nodes where G rounds to 1 (h = 0) or underflows to 0
+    (h infinite) are dropped; the rest go to `fit_bernstein`.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
     z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
+    bad = z[~np.isfinite(z)]
+    if len(bad):
+        raise ValueError(f"LST table abscissae must be finite, not z = {bad[0]:g}")
+    if len(z) == 0 or z[0] != 0.0:
+        raise ValueError("LST table must start at z = 0")
+    if not np.all(z[1:] > z[:-1]):
+        raise ValueError("LST table abscissae must be strictly increasing")
+    if len(z) < 2:
+        raise ValueError("LST table needs a row with z > 0")
     if abs(g[0] - 1.0) > 1e-9:
         raise ValueError(f"G(0) = {float(g[0])!r} is not 1 within 1e-9")
     if not np.all((g >= 0.0) & (g <= 1.0 + 1e-12)):

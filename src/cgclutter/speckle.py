@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._export import write_csv
-from .texture import TexturePath, _grid_length, sample_on_grid
+from .texture import TexturePath, sample_on_grid
 
 __all__ = [
     "White",
@@ -85,7 +85,7 @@ class SpeckleSpec:
         elif isinstance(corr, AR1):
             c = {"kind": "ar1", "rho": corr.rho}
         else:
-            c = {"kind": "custom", "acf": list(corr.acf)}
+            c = {"kind": "custom", "acf": [[complex(v).real, complex(v).imag] for v in corr.acf]}
         return {"variance": self.variance, "dt": self.dt, "correlation": c}
 
 
@@ -149,13 +149,12 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
 
 def compose(path: TexturePath, speckle: np.ndarray, dt: float) -> ClutterSeries:
     """z_i = sqrt(tau(i dt)) * x_i with right-continuous texture evaluation."""
+    tau = sample_on_grid(path, dt)
     n = len(speckle)
-    expected = _grid_length(path.duration, dt)
-    if n != expected:
+    if n != len(tau):
         raise ValueError(
             f"speckle length {n} does not match the grid implied by dt and "
-            f"the path duration (expected {expected})"
+            f"the path duration (expected {len(tau)})"
         )
-    tau = sample_on_grid(path, dt)
     t = np.arange(n) * dt
     return ClutterSeries(t=t, z=np.sqrt(tau) * speckle, tau=tau)

@@ -42,6 +42,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="Levy mass"):
             BernsteinModel(np.log1p, h1=1.0, h2=-1.0, C=C)
 
+    @pytest.mark.parametrize("h1, h2, message", [
+        (0.0, -1.0, "h'\\(0\\)"), (-1.0, -1.0, "h'\\(0\\)"), (math.nan, -1.0, "h'\\(0\\)"),
+        (1.0, 0.5, "h''\\(0\\)"),
+    ])
+    def test_rejects_bad_derivatives(self, h1, h2, message):
+        with pytest.raises(ValueError, match=message):
+            BernsteinModel(np.log1p, h1=h1, h2=h2)
+
     def test_array_evaluation(self):
         h = make_builtin_finite()
         z = np.array([0.0, 1.0, 3.0])

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cgclutter import mixing
+from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
 
 SIM = ["simulate", "--model", "finite-k", "--gamma", "0.25", "--T", "8",
@@ -108,6 +110,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 3
         assert "cached PMF mass" in err and err.count("\n") == 1
+
+    def test_arrival_budget_exit_1(self, tmp_path, capsys):
+        # 2.5e9 expected arrivals against the 1e9 budget: refused before any draw
+        out = tmp_path / "x"
+        code = run(["simulate", "--model", "finite-k", "--nu", "2", "--duration", "1e10",
+                    "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "runtime guard" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_custom_lst_roundtrip(self, tmp_path, capsys):
         # simulate from the tabulated transform of the finite builtin
@@ -251,6 +263,39 @@ def test_nonfinite_lst_abscissa_exit_3(row, tmp_path, capsys):
     assert "abscissae must be finite" in err and err.count("\n") == 1
 
 
+# the finite builtin's transform at nu = 2, and tables made from it that the
+# library and --lst-file refuse alike, with the same message
+Z = np.concatenate([[0.0], np.logspace(-2, 6, 400)])
+G = np.exp(-Z / (Z / 2.0 + 1.0))
+SWAPPED, REPEATED = np.r_[0, 2, 1, 3:len(Z)], np.r_[0, 1, 1, 2:len(Z)]
+REFUSED_TABLES = {
+    "shuffled": (Z[SWAPPED], G[SWAPPED], 2.0, "strictly increasing"),
+    "repeated-z": (Z[REPEATED], G[REPEATED], 2.0, "strictly increasing"),
+    "first-z-1e-3": (np.r_[1e-3, Z[1:]], G, 2.0, "must start at z = 0"),
+    "inf-z-G0": (np.r_[Z, np.inf], np.r_[G, 0.0], 2.0, "abscissae must be finite"),
+    "inf-z-G1e-20": (np.r_[Z, np.inf], np.r_[G, 1e-20], 2.0, "abscissae must be finite"),
+    "nan-z": (np.r_[Z, np.nan], np.r_[G, 0.1], 2.0, "abscissae must be finite"),
+    "one-row": (Z[:1], G[:1], 2.0, "needs a row with z > 0"),
+    "nu-inf": (Z, G, math.inf, "nu must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("z, g, nu, message", REFUSED_TABLES.values(),
+                         ids=REFUSED_TABLES.keys())
+def test_fit_transform_is_the_one_table_gate(z, g, nu, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=message):
+        fit_transform(z, g, nu)
+    table = tmp_path / "lst.csv"
+    table.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, g)))
+    # --gamma and --T are each finite, and their product nu overflows to inf
+    shape = ["--nu", nu] if math.isfinite(nu) else ["--gamma", "1e200", "--T", "1e200"]
+    code = run(["validate", "--model", "custom-lst", "--lst-file", table, *shape,
+                "--suite", "moments"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err and err.count("\n") == 1
+
+
 # an empty table would reach np.loadtxt's "no data" warning, and a one-row
 # table the fit's internals: both are refused by name, with no warning
 @pytest.mark.filterwarnings("error")
@@ -258,7 +303,8 @@ def test_nonfinite_lst_abscissa_exit_3(row, tmp_path, capsys):
     ("", "is empty"),
     ("\n# z, G(z)\n\n", "is empty"),
     ("0,1\n", "needs a row with z > 0"),
-], ids=["empty", "comments-only", "one-row"])
+    ("0\n1\n", "must have two columns"),
+], ids=["empty", "comments-only", "one-row", "one-column"])
 def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     table = tmp_path / "lst.csv"
     table.write_text(text)
@@ -302,11 +348,15 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     ["lawtable", "--law", "k-texture", "--nu", "2", "--x-max", "inf", "--out", "x"],
     ["lawtable", "--law", "negbin", "--nu", "2", "--nbar", "inf", "--out", "x"],
     ["lawtable", "--law", "polya-aeppli", "--nu", "inf", "--p", "0.5", "--out", "x"],
+    ["lawtable", "--law", "gamma", "--out", "x"],
+    ["lawtable", "--law", "negbin", "--nu", "2", "--out", "x"],
+    ["simulate", "--model", "custom-lst", "--nu", "2", "--out", "x"],
+    ["validate", "--model", "custom-lst", "--nu", "2", "--suite", "moments"],
 ], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
         "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
         "n-max", "points-0", "x-max", "x-max-0", "sigma2-inf", "duration-inf",
         "validate-kappa-inf", "lawtable-nu-inf", "k-texture-nu-inf", "x-max-inf", "nbar-inf",
-        "polya-nu-inf"])
+        "polya-nu-inf", "lawtable-no-nu", "no-nbar", "no-lst-file", "validate-no-lst-file"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)

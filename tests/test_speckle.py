@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from cgclutter import (
     compose,
     gen_speckle,
 )
+from cgclutter.speckle import CUSTOM_ACF_MAX_N
 
 
 class TestGenSpeckle:
@@ -104,6 +108,17 @@ class TestGenSpeckle:
         with pytest.raises(ValueError, match="lag 0"):
             CustomACF(acf)
 
+    def test_custom_acf_refuses_n_past_max_before_allocating(self):
+        spec = SpeckleSpec(correlation=CustomACF((1.0, 0.5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n <= {CUSTOM_ACF_MAX_N}"):
+                gen_speckle(spec, CUSTOM_ACF_MAX_N + 1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the n x n covariance would take 537 MB
+
     def test_guards(self):
         with pytest.raises(ValueError):
             gen_speckle(SpeckleSpec(), 0, np.random.default_rng(0))
@@ -141,3 +156,11 @@ class TestCompose:
         lines = f.read_bytes().split(b"\n")
         assert lines[0] == b"t,re,im,tau"
         assert lines[1] == b"0,1,2,1"
+
+
+@pytest.mark.parametrize("acf", [(1.0, 0.5), (1.0, 0.5 + 0.1j)], ids=["real", "complex"])
+def test_custom_acf_spec_json_roundtrip(acf):
+    spec = SpeckleSpec(correlation=CustomACF(acf))
+    d = json.loads(json.dumps(spec.to_dict()))
+    assert d == spec.to_dict()
+    assert tuple(complex(*lag) for lag in d["correlation"]["acf"]) == acf

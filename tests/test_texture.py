@@ -70,6 +70,21 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError, match="NaN"):
             poisson_arrivals(1.0, np.nan, np.random.default_rng(0))
 
+    def test_later_blocks_continue_the_running_sum(self):
+        # gaps of 0.25 at rate 1: the first block of 176 gaps ends at t = 44,
+        # short of t_end, so later blocks carry the sum on
+        sizes = []
+
+        class FixedGaps:
+            def exponential(self, scale, size):
+                sizes.append(size)
+                return np.full(size, 0.25)
+
+        a = poisson_arrivals(1.0, 100.0, FixedGaps())
+        want = np.cumsum(np.full(sum(sizes), 0.25))
+        assert len(sizes) > 1
+        assert_bitwise_equal(a, want[want <= 100.0])
+
     def test_memory_per_arrival(self):
         # one block of gaps summed in place: the block is the output
         rng = np.random.default_rng(0)
@@ -276,6 +291,10 @@ class TestTexturePath:
         with pytest.raises(ValueError, match="change_times"):
             TexturePath(np.array(ct), np.ones(len(ct)), 5.0)
 
+    def test_rejects_misaligned_arrays(self):
+        with pytest.raises(ValueError, match="align"):
+            TexturePath(np.array([0.0, 1.0]), np.ones(3), 5.0)
+
     def test_rejects_nan_values(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TexturePath(np.array([0.0, 1.0, 3.0]), np.array([1.0, np.nan, 2.0]), 5.0)
@@ -301,6 +320,12 @@ class TestSampleOnGrid:
     def test_grid_length(self):
         path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
         assert len(sample_on_grid(path, 0.1)) == 101
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+    def test_rejects_nonpositive_dt(self, dt):
+        path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            sample_on_grid(path, dt)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
