@@ -105,15 +105,17 @@ def make_builtin_infinite() -> BernsteinModel:
 def fit_transform(z, g, nu) -> BernsteinModel:
     """Fit h(w) = -ln G(nu w) / nu to a table g = G(z), whichever way it comes in.
 
-    Raises ValueError unless nu is positive and finite, z is finite and
-    strictly increasing from z[0] = 0 to some z > 0, and G is the transform
-    of a unit-mean law: G(0) = 1, 0 <= G <= 1 and the fitted h'(0) = 1
-    within FIT_TOL.  Nodes where G rounds to 1 (h = 0) or underflows to 0
-    (h infinite) are dropped; the rest go to `fit_bernstein`.
+    Raises ValueError unless nu is positive and finite, z and g are of one
+    length, z is finite and strictly increasing from z[0] = 0 to some z > 0,
+    and G is the transform of a unit-mean law: G(0) = 1, 0 <= G <= 1 and
+    the fitted h'(0) = 1 within FIT_TOL.  Nodes where G rounds to 1 (h = 0)
+    or underflows to 0 (h infinite) are dropped; the rest go to `fit_bernstein`.
     """
     if not 0 < nu < math.inf:
         raise ValueError("nu must be positive and finite")
     z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
+    if len(z) != len(g):
+        raise ValueError(f"LST table columns differ in length: {len(z)} z against {len(g)} G")
     bad = z[~np.isfinite(z)]
     if len(bad):
         raise ValueError(f"LST table abscissae must be finite, not z = {bad[0]:g}")
@@ -215,8 +217,8 @@ class LimitTransform:
     """G(z) = exp(-nu h(z / (nu h1))): the texture marginal's transform."""
 
     def __init__(self, model: BernsteinModel, nu: float):
-        if not nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 < nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         self.model = model
         self.nu = float(nu)
 

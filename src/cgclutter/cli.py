@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,8 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--kappa", type=float, default=150.0,
                    help="cluster parameter for the approximation path")
     p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--duration", type=float, default=1e5)
+    p.add_argument("--dt", type=float, default=0.1)
 
 
 def _resolve_shape(args, parser):
@@ -79,29 +82,32 @@ def _load_lst_table(path, nu) -> BernsteinModel:
     return fit_transform(data[:, 0], data[:, 1], nu)
 
 
-def _model(args, parser, nu) -> BernsteinModel:
-    """The builtin the flags name, or the Levy measure (c >= 0) fitted to the
-    table: Bernstein by construction.  A table that fits no unit-mean law
-    raises ValueError, which the commands report as exit 3.
+def _run_setup(args, parser) -> tuple[BernsteinModel, SimConfig]:
+    """The model and SimConfig the run flags name, for `simulate` and `validate`
+    alike.  Every run flag is checked (exit 2) before an --lst-file is read;
+    the Levy measure (c >= 0) fitted to it is Bernstein by construction, and
+    a table that fits no unit-mean law raises ValueError, which the commands
+    report as exit 3.  Without --mode the model's Levy mass picks the mode.
     """
-    if args.model == "finite-k":
-        return make_builtin_finite()
-    if args.model == "infinite-gamma":
-        return make_builtin_infinite()
-    if not args.lst_file:
-        parser.error("--model custom-lst requires --lst-file")
-    return _load_lst_table(args.lst_file, nu)
-
-
-def _sim_config(args, parser, model, gamma, window, seed, mode=None) -> SimConfig:
-    """SimConfig from the flags; without --mode the model's Levy mass picks it."""
-    if mode is None:
-        mode = "finite-exact" if math.isfinite(model.C) else "infinite-approx"
+    gamma, window = _resolve_shape(args, parser)
+    mode = getattr(args, "mode", None)
     try:
-        return SimConfig(gamma=gamma, window=window, duration=args.duration,
-                         dt=args.dt, seed=seed, mode=mode, kappa=args.kappa)
+        cfg = SimConfig(gamma=gamma, window=window, duration=args.duration, dt=args.dt,
+                        seed=_seed_from(args, parser), mode=mode or "finite-exact",
+                        kappa=args.kappa)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.model == "finite-k":
+        model = make_builtin_finite()
+    elif args.model == "infinite-gamma":
+        model = make_builtin_infinite()
+    elif not args.lst_file:
+        parser.error("--model custom-lst requires --lst-file")
+    else:
+        model = _load_lst_table(args.lst_file, cfg.nu)
+    if mode is None:
+        cfg = replace(cfg, mode="finite-exact" if math.isfinite(model.C) else "infinite-approx")
+    return model, cfg
 
 
 def _refused(exc) -> int:
@@ -129,8 +135,6 @@ def _seed_from(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, parser) -> int:
-    gamma, window = _resolve_shape(args, parser)
-    seed = _seed_from(args, parser)
     speckle_spec = None
     if args.clutter:
         try:
@@ -139,8 +143,7 @@ def cmd_simulate(args, parser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     try:
-        model = _model(args, parser, gamma * window)
-        cfg = _sim_config(args, parser, model, gamma, window, seed, args.mode)
+        model, cfg = _run_setup(args, parser)
         path = simulate(model, cfg)
     except (ArrivalBudgetError, ValueError) as exc:
         return _refused(exc)
@@ -159,7 +162,7 @@ def cmd_simulate(args, parser) -> int:
 
     if args.clutter:
         n = _grid_length(cfg.duration, cfg.dt)
-        rng = np.random.default_rng([seed, 0xC1])
+        rng = np.random.default_rng([cfg.seed, 0xC1])
         series = compose(path, gen_speckle(speckle_spec, n, rng), cfg.dt)
         clutter_csv = out / "clutter.csv"
         series.export_csv(clutter_csv)
@@ -169,7 +172,7 @@ def cmd_simulate(args, parser) -> int:
         "config": cfg.to_dict(),
         "speckle": speckle_spec.to_dict() if speckle_spec else None,
         "outputs": outputs,
-        "seed": seed,
+        "seed": cfg.seed,
         "tool_version": __version__,
     }
     manifest_json = out / "manifest.json"
@@ -199,13 +202,10 @@ SUITES = ("marginal", "covariance", "moments", "gaussian-limit")
 
 
 def cmd_validate(args, parser) -> int:
-    gamma, window = _resolve_shape(args, parser)
-    seed = _seed_from(args, parser)
-    nu = gamma * window
     suites = SUITES if args.suite == "all" else (args.suite,)
     try:
-        model = _model(args, parser, nu)
-        law = validation.marginal_law(model, nu) if "marginal" in suites else None
+        model, cfg = _run_setup(args, parser)
+        law = validation.marginal_law(model, cfg.nu) if "marginal" in suites else None
         if law is None and "marginal" in suites:
             if args.suite == "marginal":
                 parser.error("--suite marginal needs a builtin model: "
@@ -213,13 +213,12 @@ def cmd_validate(args, parser) -> int:
             suites = SUITES[1:]  # --suite all still runs the other three
         if "marginal" in suites or "covariance" in suites:
             # one path and one grid serve both sample-based suites
-            cfg = _sim_config(args, parser, model, gamma, window, seed)
             samples = sample_on_grid(simulate(model, cfg), cfg.dt)
         checks = {
             "marginal": lambda: validation.marginal_checks(samples, law, cfg),
             "covariance": lambda: validation.covariance_checks(samples, model, cfg),
-            "moments": lambda: (validation.moment_checks(model, nu)
-                                + validation.mixing_checks(model, args.kappa)),
+            "moments": lambda: (validation.moment_checks(model, cfg.nu)
+                                + validation.mixing_checks(model, cfg.kappa)),
             "gaussian-limit": lambda: validation.gaussian_limit_checks(model),
         }
         rows = [row for name in suites for row in checks[name]()]
@@ -284,8 +283,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="simulate a texture (and optionally clutter) path")
     _add_model_flags(ps)
-    ps.add_argument("--duration", type=float, default=1e5)
-    ps.add_argument("--dt", type=float, default=0.1)
     ps.add_argument("--mode", choices=["finite-exact", "infinite-approx",
                                        "discrete-windowed"], default=None)
     ps.add_argument("--out", required=True, help="output directory")
@@ -301,8 +298,6 @@ def make_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run oracle comparisons against closed forms")
     _add_model_flags(pv)
     pv.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    pv.add_argument("--duration", type=float, default=1e5)
-    pv.add_argument("--dt", type=float, default=0.1)
     pv.set_defaults(func=cmd_validate)
 
     pl = sub.add_parser("lawtable", help="emit an analytic law as CSV")

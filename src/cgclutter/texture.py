@@ -68,6 +68,8 @@ class SimConfig:
                                             self.kappa)):
             raise ValueError("gamma, window, duration, dt and kappa must all be positive "
                              "and finite")
+        if not 0 < self.nu < np.inf:
+            raise ValueError("nu = gamma * window must be positive and finite")
         if self.dt >= self.window:
             raise ValueError("dt must be smaller than the window length")
         if self.mode not in MODES:

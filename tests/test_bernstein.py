@@ -13,7 +13,7 @@ from cgclutter import (
     make_builtin_finite,
     make_builtin_infinite,
 )
-from cgclutter.bernstein import FIT_NODES, FIT_SHAPES, levy_log_moments
+from cgclutter.bernstein import FIT_NODES, FIT_SHAPES, fit_transform, levy_log_moments
 from cgclutter.cli import _load_lst_table
 
 
@@ -96,6 +96,12 @@ class TestLimitTransform:
         with pytest.raises(ValueError):
             LimitTransform(make_builtin_finite(), 0.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_nonfinite_nu(self, nu):
+        # an infinite nu would give G(z) = NaN for every z
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            LimitTransform(make_builtin_finite(), nu)
+
 
 class TestFromLst:
     def test_recovers_rational_model(self):
@@ -140,6 +146,15 @@ class TestFromLst:
         with pytest.raises(ValueError, match="G\\(0\\)"):
             from_lst(lambda z: 0.5 * np.exp(-np.asarray(z)), 1.0)
 
+    @pytest.mark.parametrize("resize", [lambda g: g[:-5], lambda g: np.r_[g, 0.5]],
+                             ids=["g-short", "g-long"])
+    def test_rejects_columns_of_unequal_length(self, resize):
+        nu = 2.0
+        z = nu * np.concatenate([[0.0], FIT_NODES])
+        g = resize(LimitTransform(make_builtin_finite(), nu)(z))
+        with pytest.raises(ValueError, match=f"202 z against {len(g)} G"):
+            fit_transform(z, g, nu)
+
     def test_rejects_degenerate_transform(self):
         # G = e^-z is the transform of a point mass: h(z) = z is linear, and
         # no Levy measure comes within 1e-6 of it (the miss is 0.048)
@@ -179,6 +194,16 @@ class TestFitBernstein:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError, match="h\\(w\\) > 0"):
             fit_bernstein(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+
+    def test_nnls_failure_is_a_value_error(self, monkeypatch):
+        import scipy.optimize
+
+        def nnls(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+        with pytest.raises(ValueError, match="did not converge: Maximum number"):
+            fit_bernstein(self.W, make_builtin_finite()(self.W))
 
 
 @settings(max_examples=200, deadline=None)

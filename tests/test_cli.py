@@ -67,6 +67,13 @@ class TestSimulate:
                     "--out", out]) == 0
         assert "nu=2" in capsys.readouterr().out
 
+    def test_nu_with_gamma_gives_window(self, tmp_path):
+        out = tmp_path / "n"
+        assert run(["simulate", "--model", "finite-k", "--nu", "2", "--gamma", "0.5",
+                    "--duration", "200", "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["gamma"], config["window"]) == (0.5, 4.0)
+
     def test_inconsistent_flags_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--model", "finite-k", "--gamma", "1", "--T", "8",
@@ -276,6 +283,8 @@ REFUSED_TABLES = {
     "inf-z-G1e-20": (np.r_[Z, np.inf], np.r_[G, 1e-20], 2.0, "abscissae must be finite"),
     "nan-z": (np.r_[Z, np.nan], np.r_[G, 0.1], 2.0, "abscissae must be finite"),
     "one-row": (Z[:1], G[:1], 2.0, "needs a row with z > 0"),
+    "G-above-1": (Z, np.r_[G[:5], 1.5, G[6:]], 2.0, "G values must lie in"),
+    "G-negative": (Z, np.r_[G[:-1], -0.1], 2.0, "G values must lie in"),
     "nu-inf": (Z, G, math.inf, "nu must be positive and finite"),
 }
 
@@ -287,13 +296,21 @@ def test_fit_transform_is_the_one_table_gate(z, g, nu, message, tmp_path, capsys
         fit_transform(z, g, nu)
     table = tmp_path / "lst.csv"
     table.write_text("".join(f"{zi:.17g},{gi:.17g}\n" for zi, gi in zip(z, g)))
-    # --gamma and --T are each finite, and their product nu overflows to inf
-    shape = ["--nu", nu] if math.isfinite(nu) else ["--gamma", "1e200", "--T", "1e200"]
-    code = run(["validate", "--model", "custom-lst", "--lst-file", table, *shape,
-                "--suite", "moments"])
+    command = ["validate", "--model", "custom-lst", "--lst-file", table, "--suite", "moments"]
+    if math.isfinite(nu):
+        code = run([*command, "--nu", nu])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err and err.count("\n") == 1
+        return
+    # --gamma and --T are each finite, and their product nu overflows to inf:
+    # a flag error, refused before the table is read
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--gamma", "1e200", "--T", "1e200"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert code == 3
-    assert message in err and err.count("\n") == 1
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "cgclutter: error: nu = gamma * window must be positive and finite"]
 
 
 # an empty table would reach np.loadtxt's "no data" warning, and a one-row
@@ -352,14 +369,31 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     ["lawtable", "--law", "negbin", "--nu", "2", "--out", "x"],
     ["simulate", "--model", "custom-lst", "--nu", "2", "--out", "x"],
     ["validate", "--model", "custom-lst", "--nu", "2", "--suite", "moments"],
+    # validate checks every run flag whatever the suite
+    ["validate", "--model", "finite-k", "--nu", "2", "--suite", "moments", "--dt", "9"],
+    ["validate", "--model", "finite-k", "--nu", "2", "--suite", "moments", "--duration", "-5"],
+    ["validate", "--model", "finite-k", "--nu", "2", "--suite", "gaussian-limit", "--dt", "0"],
+    # --gamma and --T each finite, with a product nu that overflows or underflows
+    ["simulate", "--model", "finite-k", "--gamma", "1e200", "--T", "1e200", "--out", "x"],
+    ["validate", "--model", "finite-k", "--gamma", "1e200", "--T", "1e200"],
+    ["validate", "--model", "custom-lst", "--lst-file", "lst.csv", "--gamma", "1e200",
+     "--T", "1e200"],
+    ["validate", "--model", "finite-k", "--gamma", "1e-200", "--T", "1e-200", "--dt", "1e-201",
+     "--suite", "moments"],
+    # a flag error is found before the --lst-file is read
+    ["simulate", "--model", "custom-lst", "--lst-file", "missing.csv", "--nu", "2", "--dt", "9",
+     "--out", "x"],
 ], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
         "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
         "n-max", "points-0", "x-max", "x-max-0", "sigma2-inf", "duration-inf",
         "validate-kappa-inf", "lawtable-nu-inf", "k-texture-nu-inf", "x-max-inf", "nbar-inf",
-        "polya-nu-inf", "lawtable-no-nu", "no-nbar", "no-lst-file", "validate-no-lst-file"])
+        "polya-nu-inf", "lawtable-no-nu", "no-nbar", "no-lst-file", "validate-no-lst-file",
+        "validate-dt-over-T", "validate-duration", "gaussian-limit-dt", "nu-overflow",
+        "validate-nu-overflow", "custom-lst-nu-overflow", "nu-underflow", "missing-lst-dt"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)
+    finite_lst_table(tmp_path / "lst.csv")
     if argv[0].startswith("CLUTTER_SEED="):
         monkeypatch.setenv("CLUTTER_SEED", argv[0].split("=")[1])
         argv = argv[1:]

@@ -109,6 +109,10 @@ class TestKsDistance:
         want = max(right.max(), left.max())
         assert ks_distance(x, cdf, atom_at_zero=atom) == pytest.approx(want, abs=1e-12)
 
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ks_distance([], lambda t: 1.0 - np.exp(-t))
+
     def test_critical_value(self):
         # c(0.01) = 1.628 (asymptotic Kolmogorov quantile)
         assert ks_critical(10_000, 0.01) == pytest.approx(1.6276 / 100.0, rel=1e-3)

@@ -133,6 +133,9 @@ class TestCountLaws:
         mean = sum(n * polya_aeppli_pmf(2.0, 0.1, n) for n in range(600))
         assert mean == pytest.approx(2.0 * 0.9 / 0.1, rel=1e-9)
 
+    def test_polya_aeppli_is_zero_below_zero(self):
+        assert polya_aeppli_pmf(2.0, 0.1, -1) == 0.0
+
     def test_polya_aeppli_rejects_bad_p(self):
         for p in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
@@ -191,3 +194,7 @@ class TestGaussianLimit:
 
     def test_zero_range(self):
         assert gaussian_limit_distance(make_builtin_finite(), 10.0, 0.0) == 0.0
+
+    def test_rejects_negative_range(self):
+        with pytest.raises(ValueError, match="z_max must be nonnegative"):
+            gaussian_limit_distance(make_builtin_finite(), 10.0, -1.0)

@@ -125,6 +125,11 @@ class TestGenSpeckle:
         with pytest.raises(ValueError):
             SpeckleSpec(variance=0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, np.inf, np.nan], ids=["0", "inf", "nan"])
+    def test_spec_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SpeckleSpec(dt=dt)
+
 
 class TestCompose:
     def test_identity_on_flat_texture(self):

@@ -44,6 +44,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**base)
 
+    # each factor is positive and finite, and their product is not
+    @pytest.mark.parametrize("gamma, window, dt", [(1e200, 1e200, 0.1), (1e-200, 1e-200, 1e-201)],
+                             ids=["overflow", "underflow"])
+    def test_rejects_nu_that_is_not_positive_and_finite(self, gamma, window, dt):
+        with pytest.raises(ValueError, match="nu = gamma \\* window must be positive and finite"):
+            SimConfig(gamma=gamma, window=window, duration=100.0, dt=dt, seed=1)
+
 
 class TestPoissonArrivals:
     def test_count_and_range(self):
