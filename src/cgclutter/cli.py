@@ -10,7 +10,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -24,7 +23,7 @@ from .bernstein import BernsteinModel, fit_transform, make_builtin_finite, make_
 from .estimators import summarize
 from .laws import gamma_texture_law, k_texture_law, negbin_pmf, polya_aeppli_pmf
 from .speckle import AR1, SpeckleSpec, White, compose, gen_speckle
-from .texture import ArrivalBudgetError, SimConfig, _grid_length, sample_on_grid, simulate
+from .texture import MODES, ArrivalBudgetError, SimConfig, _grid_length, sample_on_grid, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +45,9 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_shape(args, parser):
-    """Resolve (gamma, T, nu) from any consistent pair of positive finite
-    flags; --kappa must be positive and finite too."""
+    """Resolve (gamma, T, nu) from any consistent pair of positive finite flags."""
     gamma, window, nu = args.gamma, args.window, args.nu
-    for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu), ("--kappa", args.kappa)):
+    for flag, v in (("--gamma", gamma), ("--T", window), ("--nu", nu)):
         if v is not None and not 0 < v < math.inf:
             parser.error(f"{flag} must be positive and finite, not {v:g}")
     given = sum(v is not None for v in (gamma, window, nu))
@@ -93,7 +91,7 @@ def _run_setup(args, parser) -> tuple[BernsteinModel, SimConfig]:
     mode = getattr(args, "mode", None)
     try:
         cfg = SimConfig(gamma=gamma, window=window, duration=args.duration, dt=args.dt,
-                        seed=_seed_from(args, parser), mode=mode or "finite-exact",
+                        seed=args.seed, mode=mode or "finite-exact",
                         kappa=args.kappa)
     except ValueError as exc:
         parser.error(str(exc))
@@ -119,29 +117,18 @@ def _refused(exc) -> int:
     return 3
 
 
-def _seed_from(args, parser) -> int:
-    env = os.environ.get("CLUTTER_SEED")
-    try:
-        seed = int(env) if env else args.seed
-    except ValueError:
-        parser.error(f"CLUTTER_SEED={env!r} is not an integer")
-    if seed < 0:
-        parser.error(f"the seed must be nonnegative, not {seed}")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, parser) -> int:
-    speckle_spec = None
-    if args.clutter:
-        try:
-            corr = White() if args.speckle == "white" else AR1(args.rho)
-            speckle_spec = SpeckleSpec(variance=args.sigma2, correlation=corr, dt=args.dt)
-        except ValueError as exc:
-            parser.error(str(exc))
+    # --sigma2 and --rho are checked whether or not --clutter and --speckle use them
+    try:
+        ar1 = AR1(args.rho)
+        speckle_spec = SpeckleSpec(variance=args.sigma2, dt=args.dt,
+                                   correlation=White() if args.speckle == "white" else ar1)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         model, cfg = _run_setup(args, parser)
         path = simulate(model, cfg)
@@ -170,7 +157,7 @@ def cmd_simulate(args, parser) -> int:
 
     manifest = {
         "config": cfg.to_dict(),
-        "speckle": speckle_spec.to_dict() if speckle_spec else None,
+        "speckle": speckle_spec.to_dict() if args.clutter else None,
         "outputs": outputs,
         "seed": cfg.seed,
         "tool_version": __version__,
@@ -203,14 +190,14 @@ SUITES = ("marginal", "covariance", "moments", "gaussian-limit")
 
 def cmd_validate(args, parser) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
+    if args.model == "custom-lst" and "marginal" in suites:
+        if args.suite == "marginal":
+            parser.error("--suite marginal needs a builtin model: "
+                         "custom-lst has no closed-form marginal law")
+        suites = SUITES[1:]  # --suite all still runs the other three
     try:
         model, cfg = _run_setup(args, parser)
         law = validation.marginal_law(model, cfg.nu) if "marginal" in suites else None
-        if law is None and "marginal" in suites:
-            if args.suite == "marginal":
-                parser.error("--suite marginal needs a builtin model: "
-                             f"{args.model} has no closed-form marginal law")
-            suites = SUITES[1:]  # --suite all still runs the other three
         if "marginal" in suites or "covariance" in suites:
             # one path and one grid serve both sample-based suites
             samples = sample_on_grid(simulate(model, cfg), cfg.dt)
@@ -283,8 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="simulate a texture (and optionally clutter) path")
     _add_model_flags(ps)
-    ps.add_argument("--mode", choices=["finite-exact", "infinite-approx",
-                                       "discrete-windowed"], default=None)
+    ps.add_argument("--mode", choices=MODES, default=None)
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--events", action="store_true",
                     help="also write the change-point (event) view")

@@ -108,6 +108,10 @@ def ks_distance(samples, cdf: Callable, atom_at_zero: float = 0.0) -> float:
 
 def ks_critical(n: int, alpha: float = 0.01) -> float:
     """Asymptotic Kolmogorov critical value c(alpha)/sqrt(n)."""
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), not {alpha}")
     c = math.sqrt(-0.5 * math.log(alpha / 2.0))
     return c / math.sqrt(n)
 

@@ -130,26 +130,27 @@ def polya_aeppli_pmf(nu: float, p: float, n: int) -> float:
 
 
 def negbin_pmf(nu: float, nbar: float, n) -> float | np.ndarray:
-    """Negative binomial window-count PMF with shape nu and mean nbar."""
+    """Negative binomial window-count PMF with shape nu and mean nbar; 0 below n = 0."""
     if not (0 < nu < math.inf and 0 < nbar < math.inf):
         raise ValueError("nu and nbar must be positive and finite")
     ns = np.asarray(n, dtype=float)
+    # evaluated at max(n, 0), where gammaln(n + nu) - gammaln(n + 1) is finite
+    m = np.maximum(ns, 0.0)
     logp = (
-        gammaln(ns + nu)
+        gammaln(m + nu)
         - gammaln(nu)
-        - gammaln(ns + 1.0)
-        + ns * math.log(nbar / nu)
-        - (nu + ns) * math.log1p(nbar / nu)
+        - gammaln(m + 1.0)
+        + m * math.log(nbar / nu)
+        - (nu + m) * math.log1p(nbar / nu)
     )
-    out = np.exp(logp)
+    out = np.where(ns < 0, 0.0, np.exp(logp))
     return float(out) if np.ndim(n) == 0 else out
 
 
 def texture_cov(nu: float, window: float, h2: float, s) -> float | np.ndarray:
-    """Triangular texture autocovariance (-h2/nu)(1 - s/T), zero beyond T."""
-    svals = np.asarray(s, dtype=float)
+    """Triangular texture autocovariance (-h2/nu)(1 - |s|/T), zero beyond T."""
+    svals = np.abs(np.asarray(s, dtype=float))
     out = np.where(svals <= window, (-h2 / nu) * (1.0 - svals / window), 0.0)
-    out = np.where(svals < 0, 0.0, out)
     return float(out) if np.ndim(s) == 0 else out
 
 

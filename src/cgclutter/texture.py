@@ -64,10 +64,12 @@ class SimConfig:
     kappa: float = 150.0
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.gamma, self.window, self.duration, self.dt,
-                                            self.kappa)):
-            raise ValueError("gamma, window, duration, dt and kappa must all be positive "
-                             "and finite")
+        for name in ("gamma", "window", "duration", "dt", "kappa"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v:g}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
         if not 0 < self.nu < np.inf:
             raise ValueError("nu = gamma * window must be positive and finite")
         if self.dt >= self.window:

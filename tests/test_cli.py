@@ -44,12 +44,14 @@ class TestSimulate:
         run(SIM + ["--seed", "8", "--out", b])
         assert (a / "texture.csv").read_bytes() != (b / "texture.csv").read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_seed_flag_is_the_only_seed(self, tmp_path, monkeypatch):
+        # the environment has no say in the seed: --seed alone sets it
         a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("CLUTTER_SEED", "99")
         run(SIM + ["--seed", "7", "--out", a])
-        run(SIM + ["--seed", "8", "--out", b])
+        monkeypatch.setenv("CLUTTER_SEED", "99")
+        run(SIM + ["--seed", "7", "--out", b])
         assert (a / "texture.csv").read_bytes() == (b / "texture.csv").read_bytes()
+        assert json.loads((b / "manifest.json").read_text())["seed"] == 7
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m"
@@ -339,7 +341,6 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     ["simulate", "--model", "finite-k", "--nu", "2", "--dt", "9", "--out", "x"],
     ["simulate", "--model", "finite-k", "--nu", "2", "--seed", "-1", "--out", "x"],
     ["validate", "--model", "finite-k", "--nu", "-2", "--suite", "moments"],
-    ["CLUTTER_SEED=abc", "simulate", "--model", "finite-k", "--nu", "2", "--out", "x"],
     ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
      "--sigma2", "-1", "--out", "x"],
     ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
@@ -383,20 +384,26 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     # a flag error is found before the --lst-file is read
     ["simulate", "--model", "custom-lst", "--lst-file", "missing.csv", "--nu", "2", "--dt", "9",
      "--out", "x"],
-], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "env-seed", "sigma2",
+    # the speckle flags are checked whether or not --clutter or --speckle uses them
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--sigma2", "-1",
+     "--out", "x"],
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200", "--clutter",
+     "--speckle", "white", "--rho", "2", "--out", "x"],
+    # a custom-lst model has no marginal suite, whatever its table
+    ["validate", "--model", "custom-lst", "--lst-file", "missing.csv", "--nu", "2",
+     "--suite", "marginal"],
+], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "sigma2",
         "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
         "n-max", "points-0", "x-max", "x-max-0", "sigma2-inf", "duration-inf",
         "validate-kappa-inf", "lawtable-nu-inf", "k-texture-nu-inf", "x-max-inf", "nbar-inf",
         "polya-nu-inf", "lawtable-no-nu", "no-nbar", "no-lst-file", "validate-no-lst-file",
         "validate-dt-over-T", "validate-duration", "gaussian-limit-dt", "nu-overflow",
-        "validate-nu-overflow", "custom-lst-nu-overflow", "nu-underflow", "missing-lst-dt"])
+        "validate-nu-overflow", "custom-lst-nu-overflow", "nu-underflow", "missing-lst-dt",
+        "sigma2-no-clutter", "rho-white", "custom-lst-marginal-missing"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)
     finite_lst_table(tmp_path / "lst.csv")
-    if argv[0].startswith("CLUTTER_SEED="):
-        monkeypatch.setenv("CLUTTER_SEED", argv[0].split("=")[1])
-        argv = argv[1:]
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

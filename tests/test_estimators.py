@@ -117,6 +117,18 @@ class TestKsDistance:
         # c(0.01) = 1.628 (asymptotic Kolmogorov quantile)
         assert ks_critical(10_000, 0.01) == pytest.approx(1.6276 / 100.0, rel=1e-3)
 
+    @pytest.mark.parametrize("n, alpha, message", [
+        (0, 0.01, "n must be at least 1, not 0"),
+        (-5, 0.01, "n must be at least 1, not -5"),
+        (100, 0.0, "alpha must lie in \\(0, 1\\), not 0.0"),
+        (100, 1.0, "alpha must lie in \\(0, 1\\), not 1.0"),
+        (100, 1.5, "alpha must lie in \\(0, 1\\), not 1.5"),
+        (100, math.nan, "alpha must lie in \\(0, 1\\), not nan"),
+    ], ids=["n-0", "n-negative", "alpha-0", "alpha-1", "alpha-above-1", "alpha-nan"])
+    def test_critical_value_refuses_bad_arguments(self, n, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            ks_critical(n, alpha)
+
 
 class TestTotalVariation:
     def test_hand_worked(self):

@@ -147,6 +147,15 @@ class TestCountLaws:
         ns = np.arange(0, 400)
         np.testing.assert_allclose(negbin_pmf(nu, nbar, ns), ref.pmf(ns), rtol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_negbin_is_zero_below_zero(self):
+        for n in (-1, -2, -3):
+            assert negbin_pmf(2.0, 59.85, n) == 0.0
+        ns = np.arange(-3, 4)
+        out = negbin_pmf(2.0, 59.85, ns)
+        np.testing.assert_array_equal(out[:3], 0.0)
+        np.testing.assert_array_equal(out[3:], negbin_pmf(2.0, 59.85, np.arange(4)))
+
     def test_negbin_mean(self):
         ns = np.arange(0, 2000)
         p = negbin_pmf(2.0, 59.85, ns)
@@ -164,6 +173,14 @@ class TestCovariance:
     def test_vector_form(self):
         out = texture_cov(2.0, 8.0, -1.0, np.array([0.0, 2.0, 16.0]))
         np.testing.assert_allclose(out, [0.5, 0.375, 0.0])
+
+    def test_even_in_the_lag(self):
+        # the covariance of tau(t) and tau(t + s) is that of tau(t - s) and tau(t)
+        assert texture_cov(2.0, 8.0, -2.0, -4.0) == texture_cov(2.0, 8.0, -2.0, 4.0) == 0.5
+        s = np.array([-16.0, -8.0, -2.0, 0.0, 2.0, 8.0, 16.0])
+        out = texture_cov(2.0, 8.0, -1.0, s)
+        np.testing.assert_array_equal(out, out[::-1])
+        np.testing.assert_array_equal(out[3:], texture_cov(2.0, 8.0, -1.0, s[3:]))
 
 
 class TestTransformMoments:

@@ -44,6 +44,21 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**base)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"gamma": 0.0}, "gamma must be positive and finite, not 0"),
+        ({"window": -1.0}, "window must be positive and finite, not -1"),
+        ({"duration": np.inf}, "duration must be positive and finite, not inf"),
+        ({"dt": 0.0}, "dt must be positive and finite, not 0"),
+        ({"kappa": np.nan}, "kappa must be positive and finite, not nan"),
+        ({"seed": -1}, "seed must be nonnegative, not -1"),
+    ], ids=["gamma", "window", "duration", "dt", "kappa", "seed"])
+    def test_refusal_names_the_field(self, kw, message):
+        base = dict(gamma=0.25, window=8.0, duration=100.0, dt=0.1, seed=1)
+        base.update(kw)
+        with pytest.raises(ValueError) as exc:
+            SimConfig(**base)
+        assert str(exc.value) == message
+
     # each factor is positive and finite, and their product is not
     @pytest.mark.parametrize("gamma, window, dt", [(1e200, 1e200, 0.1), (1e-200, 1e-200, 1e-201)],
                              ids=["overflow", "underflow"])
