@@ -1,7 +1,10 @@
 """Command-line front end: simulate, validate, lawtable.
 
-Exit codes: 0 success, 1 runtime guard tripped, 2 flag errors,
-3 model-validation failure, 4 validation-suite failure.
+Exit codes: 0 success, 1 runtime guard tripped, 2 flag errors and an
+--out that cannot be created or opened, 3 model-validation failure,
+4 validation-suite failure.  A reader that closes standard output early,
+as ``| head`` does, ends the command as SIGPIPE ends other tools: at
+once and without a traceback.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ import argparse
 import io
 import json
 import math
+import signal
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,6 +111,12 @@ def _run_setup(args, parser) -> tuple[BernsteinModel, SimConfig]:
     return model, cfg
 
 
+def _unwritable(exc, out) -> int:
+    """Report an --out that cannot be created or opened: exit 2."""
+    print(f"cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _refused(exc) -> int:
     """Report why a command stopped: exit 1 for the runtime guard, 3 otherwise."""
     if isinstance(exc, ArrivalBudgetError):
@@ -136,12 +145,15 @@ def cmd_simulate(args, parser) -> int:
         return _refused(exc)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
     texture_csv = out / "texture.csv"
-    path.export_grid_csv(texture_csv, cfg.dt)
-    outputs.append(str(texture_csv))
+    try:
+        # texture.csv goes first: an --out that cannot be created, or a file
+        # in it opened, stops the run before anything is written
+        out.mkdir(parents=True, exist_ok=True)
+        path.export_grid_csv(texture_csv, cfg.dt)
+    except OSError as exc:
+        return _unwritable(exc, out)
+    outputs = [str(texture_csv)]
     if args.events:
         events_csv = out / "events.csv"
         path.export_events_csv(events_csv)
@@ -224,7 +236,10 @@ def cmd_validate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lawtable(args, parser) -> int:
-    """The table is built before --out is opened, so a refused flag writes nothing."""
+    """The table is built before --out is opened, so a refused flag writes
+    nothing.  Without --out it goes to standard output as bytes, or as text
+    where standard output has no byte stream under it (an io.StringIO that a
+    caller put there)."""
     if args.nu is None:
         parser.error("--nu is required")
     if not 0 < args.x_max < math.inf:
@@ -251,8 +266,20 @@ def cmd_lawtable(args, parser) -> int:
             header, columns = ["n", "pmf"], (ns, pmf)
     except ValueError as exc:
         parser.error(str(exc))
-    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
-        write_csv(out, header, *columns)
+    if args.out is not None:
+        try:
+            with open(args.out, "wb") as out:
+                write_csv(out, header, *columns)
+        except OSError as exc:
+            return _unwritable(exc, args.out)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        write_csv(sys.stdout.buffer, header, *columns)
+        sys.stdout.buffer.flush()
+    else:
+        text = io.BytesIO()
+        write_csv(text, header, *columns)
+        sys.stdout.write(text.getvalue().decode())
     return 0
 
 
@@ -307,6 +334,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # Python ignores SIGPIPE and raises BrokenPipeError on the next write;
+    # the default action ends the process quietly, as for other tools
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -96,7 +96,7 @@ class ClutterSeries:
     tau: np.ndarray
 
     def export_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with open(path, "wb") as f:
             write_csv(f, ["t", "re", "im", "tau"], self.t, self.z.real, self.z.imag, self.tau)
 
 

@@ -107,12 +107,12 @@ class TexturePath:
             raise ValueError("texture values must be nonnegative")
 
     def export_events_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with open(path, "wb") as f:
             write_csv(f, ["change_time", "value"], self.change_times, self.values)
 
     def export_grid_csv(self, path, dt: float):
         vals = sample_on_grid(self, dt)
-        with open(path, "w", newline="") as f:
+        with open(path, "wb") as f:
             write_csv(f, ["t", "tau"], np.arange(len(vals)) * dt, vals)
 
 

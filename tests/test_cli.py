@@ -1,9 +1,16 @@
+import errno
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgclutter
 from cgclutter import mixing
 from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
@@ -446,3 +453,34 @@ def test_kappa_too_large_for_logseries_exit_3(command, tmp_path, capsys, monkeyp
     assert code == 3
     assert "kappa" in err and err.count("\n") == 1
     assert not (tmp_path / "bigk").exists()
+
+
+@pytest.mark.parametrize("command", [SIM + ["--out"],
+                                     ["lawtable", "--law", "gamma", "--nu", "2", "--out"]],
+                         ids=["simulate", "lawtable"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    # a file stands where --out needs a directory: one line names the path
+    # and the OS error, and nothing is written
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    out = blocker / "x.csv"
+    assert run(command + [out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err and os.strerror(errno.ENOTDIR) in err
+    assert blocker.read_bytes() == b"" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # `cgclutter lawtable ... | head -1`: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(cgclutter.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "cgclutter.cli", "lawtable", "--law", "negbin", "--nu", "2",
+             "--nbar", "5", "--n-max", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n,pmf\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE

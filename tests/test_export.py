@@ -15,6 +15,9 @@ from cgclutter._export import BLOCK_VALUES, write_csv
 
 NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
 SPECIAL = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -5e-324]
+# fields `%` prints: exponent form, the longest two 24 bytes, NaN and ±inf
+PERCENT = [-1.2345678901234567e-308, -9.8765432109876543e+300, 1.2345678901234567e-308,
+           1e-5, -2.5e-7, 1e17, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
 
 
 def reference(header, columns):
@@ -27,9 +30,9 @@ def reference(header, columns):
 
 
 def written(header, columns):
-    f = io.StringIO()
+    f = io.BytesIO()
     write_csv(f, header, *columns)
-    return f.getvalue()
+    return f.getvalue().decode("ascii")
 
 
 def assert_same(got, want):
@@ -43,15 +46,21 @@ def assert_same(got, want):
 @st.composite
 def column_sets(draw):
     """1-4 columns, each a cycle of (value, run length) pairs cut to a shared
-    length, so long runs, adjacent 0.0/-0.0 and the special values occur."""
+    length, so long runs, adjacent 0.0/-0.0 and the special values occur.
+    The first, a middle and the last column each also draw a negative value,
+    a `%` field and a signed zero, in short runs at drawn places."""
     k = draw(st.integers(1, 4))
     rows = BLOCK_VALUES // k  # rows per block
     n = draw(st.sampled_from([0, 1, rows, rows + 1]) | st.integers(0, 64))
     value = st.sampled_from([0.0, -0.0]) | st.sampled_from(SPECIAL) | st.floats()
     run = st.integers(1, 3) | st.integers(1, 2 * rows)
+    forced = [st.floats(max_value=-1e-300), st.sampled_from(PERCENT), st.sampled_from([0.0, -0.0])]
     columns = []
-    for _ in range(k):
+    for j in range(k):
         runs = draw(st.lists(st.tuples(value, run), min_size=1, max_size=8))
+        if j in (0, k // 2, k - 1):
+            for v in forced:
+                runs.insert(draw(st.integers(0, len(runs))), (draw(v), draw(st.integers(1, 3))))
         cycle = np.repeat([v for v, _ in runs], [r for _, r in runs])
         columns.append(np.resize(cycle, n))
     return [f"c{i}" for i in range(k)], columns
@@ -69,6 +78,34 @@ def test_signed_zeros_and_specials_kept_apart():
                     5e-324, 5e-324, -5e-324])
     assert_same(written(["x"], [col]), reference(["x"], [col]))
     assert written(["x"], [col]).split("\n")[1:5] == ["0", "-0", "-0", "0"]
+
+
+def test_empty_and_one_row_tables():
+    header = ["a", "b", "c"]
+    assert written(header, [[], [], []]) == "a,b,c\n"
+    row = [[-1.2345678901234567e-308], [-0.0], [0.1]]
+    assert written(header, row) == reference(header, row) == "a,b,c\n-1.2345678901234567e-308,-0,0.10000000000000001\n"
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_longest_percent_fields(j):
+    # a 24-byte `%` field and its separator are a byte longer than a cell:
+    # in the first, a middle and the last column, in runs and alone
+    columns = [np.full(7, 0.5), np.full(7, -1.5), np.full(7, 2.25)]
+    columns[j] = np.array([-1.2345678901234567e-308, 1.0, -9.8765432109876543e+300,
+                           -9.8765432109876543e+300, -0.0, -1.2345678901234567e-308, np.nan])
+    header = ["a", "b", "c"]
+    assert_same(written(header, columns), reference(header, columns))
+
+
+def test_field_copies_land_in_index_order():
+    # a block's bytes rely on numpy assigning through an index array in
+    # order: each 24-byte copy overwrites what the one before left past its
+    # field
+    out = np.zeros(40, dtype=np.uint8)
+    fields = np.arange(1, 3 * 24 + 1, dtype=np.uint8)
+    _export._windows(out)[np.array([0, 5, 9])] = fields.view("V24")
+    np.testing.assert_array_equal(out[:33], np.concatenate([fields[:5], fields[24:28], fields[48:]]))
 
 
 def test_integer_column_prints_as_str():
@@ -96,10 +133,10 @@ def test_blocks_written_in_order_whatever_the_cpu_count(k, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_at_most_one_block_more_than_workers_in_flight(k, monkeypatch):
     started = []
-    block_text = _export._block_text
-    monkeypatch.setattr(_export, "_block_text", lambda *a: started.append(1) or block_text(*a))
+    block = _export._block
+    monkeypatch.setattr(_export, "_block", lambda *a: started.append(1) or block(*a))
 
-    class SlowFile(io.StringIO):
+    class SlowFile(io.BytesIO):
         # slow, so the workers would run ahead if they were let
         started_at = []  # blocks started by the end of each write
 
@@ -111,14 +148,14 @@ def test_at_most_one_block_more_than_workers_in_flight(k, monkeypatch):
     f = SlowFile()
     cpus(monkeypatch, k)
     write_csv(f, ["x"], np.arange(20 * BLOCK_VALUES, dtype=float))
-    # the header, then 20 blocks; block j is in flight from its start until
-    # its write, so at that write blocks j..started_at[j] are
-    assert f.started_at[0] == 0 and len(f.started_at) == 21
-    assert max(s - j + 1 for j, s in enumerate(f.started_at[1:], 1)) <= k + 1
+    # the header, 20 blocks and the closing newline; block j is in flight
+    # from its start until its write, so at that write blocks j..started_at[j] are
+    assert f.started_at[0] == 0 and len(f.started_at) == 22
+    assert max(s - j + 1 for j, s in enumerate(f.started_at[1:21], 1)) <= k + 1
 
 
 def test_failed_write_raises_and_stops_the_workers(monkeypatch):
-    class Failing(io.StringIO):
+    class Failing(io.BytesIO):
         calls = 0
 
         def write(self, s):

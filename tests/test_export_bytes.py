@@ -6,7 +6,9 @@ finite-k run has the zero atom: exact 0 in ``tau`` and -0 in the clutter
 columns, which a writer that merged 0.0 with -0.0 would break.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -67,3 +69,21 @@ def test_lawtable(flags, tmp_path):
     assert main(["lawtable", "--law", *flags, "--out", str(out)]) == 0
     assert sha256(out) == LAWTABLE_PINS[flags]
 
+
+
+@pytest.mark.parametrize("flags", sorted(LAWTABLE_PINS),
+                         ids=lambda f: f[0] if f[2] == "2" else f"{f[0]}-nu{f[2]}")
+def test_lawtable_stdout_is_the_out_file(flags, tmp_path, capsysbinary):
+    out = tmp_path / "law.csv"
+    assert main(["lawtable", "--law", *flags, "--out", str(out)]) == 0
+    assert main(["lawtable", "--law", *flags]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_lawtable_text_stdout_is_captured():
+    # library callers take the table from a text stdout with no bytes under it
+    flags = ("negbin", "--nu", "2", "--nbar", "5")
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["lawtable", "--law", *flags]) == 0
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == LAWTABLE_PINS[flags]
