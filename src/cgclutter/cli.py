@@ -83,12 +83,14 @@ def _load_lst_table(path, nu) -> BernsteinModel:
     return fit_transform(data[:, 0], data[:, 1], nu)
 
 
-def _run_setup(args, parser) -> tuple[BernsteinModel, SimConfig]:
+def _run_setup(args, parser, covariance=False) -> tuple[BernsteinModel, SimConfig]:
     """The model and SimConfig the run flags name, for `simulate` and `validate`
-    alike.  Every run flag is checked (exit 2) before an --lst-file is read;
-    the Levy measure (c >= 0) fitted to it is Bernstein by construction, and
-    a table that fits no unit-mean law raises ValueError, which the commands
-    report as exit 3.  Without --mode the model's Levy mass picks the mode.
+    alike.  Every run flag is checked (exit 2) before an --lst-file is read,
+    and with `covariance` the --duration against the covariance suite's last
+    lag; the Levy measure (c >= 0) fitted to the file is Bernstein by
+    construction, and a table that fits no unit-mean law raises ValueError,
+    which the commands report as exit 3.  Without --mode the model's Levy
+    mass picks the mode.
     """
     gamma, window = _resolve_shape(args, parser)
     mode = getattr(args, "mode", None)
@@ -98,6 +100,11 @@ def _run_setup(args, parser) -> tuple[BernsteinModel, SimConfig]:
                         kappa=args.kappa)
     except ValueError as exc:
         parser.error(str(exc))
+    lag = validation.tail_lag_steps(cfg) if covariance else 0
+    if lag >= _grid_length(cfg.duration, cfg.dt):
+        parser.error(f"--duration {cfg.duration:g} is too short for the covariance suite: "
+                     f"its lag {validation.TAIL_LAG:g}T needs a --duration of at least "
+                     f"{lag * cfg.dt:g}")
     if args.model == "finite-k":
         model = make_builtin_finite()
     elif args.model == "infinite-gamma":
@@ -208,7 +215,7 @@ def cmd_validate(args, parser) -> int:
                          "custom-lst has no closed-form marginal law")
         suites = SUITES[1:]  # --suite all still runs the other three
     try:
-        model, cfg = _run_setup(args, parser)
+        model, cfg = _run_setup(args, parser, covariance="covariance" in suites)
         law = validation.marginal_law(model, cfg.nu) if "marginal" in suites else None
         if "marginal" in suites or "covariance" in suites:
             # one path and one grid serve both sample-based suites
@@ -254,11 +261,11 @@ def cmd_lawtable(args, parser) -> int:
             xs = np.linspace(0.0, args.x_max, args.points)
             header, columns = ["x", "pdf", "cdf"], (xs, law.pdf(xs), law.cdf(xs))
         else:
-            ns = range(args.n_max + 1)
+            ns = np.arange(args.n_max + 1)
             if args.law == "polya-aeppli":
                 if args.p is None:
                     parser.error("--p is required for the polya-aeppli law")
-                pmf = [polya_aeppli_pmf(args.nu, args.p, n) for n in ns]
+                pmf = polya_aeppli_pmf(args.nu, args.p, ns)
             else:
                 if args.nbar is None:
                     parser.error("--nbar is required for the negbin law")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,19 +120,21 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
 def total_variation(empirical_pmf: dict, pmf: Callable) -> float:
     """Half the L1 distance over the union support, analytic tail included.
 
-    `empirical_pmf` maps integer outcomes to relative frequencies (must
-    sum to one); analytic mass beyond the largest observed outcome enters
-    as unmatched tail mass.
+    `empirical_pmf` maps nonnegative integer outcomes to relative
+    frequencies (must sum to one).  `pmf` is called once, on the integer
+    array 0..largest outcome; analytic mass beyond that outcome enters as
+    unmatched tail mass.
     """
     total = sum(empirical_pmf.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError("empirical frequencies must sum to 1")
-    n_hi = max(empirical_pmf)
-    acc = 0.0
-    analytic_mass = 0.0
-    for n in range(0, n_hi + 1):
-        p = float(pmf(n))
-        analytic_mass += p
-        acc += abs(empirical_pmf.get(n, 0.0) - p)
-    tail = max(0.0, 1.0 - analytic_mass)
-    return 0.5 * (acc + tail)
+    for n in empirical_pmf:
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"outcomes must be nonnegative integers, not {n!r}")
+    emp = np.zeros(max(empirical_pmf) + 1)
+    emp[list(empirical_pmf)] = list(empirical_pmf.values())
+    p = np.asarray(pmf(np.arange(len(emp))), dtype=float)
+    if p.shape != emp.shape:
+        raise ValueError(f"pmf must return one value per outcome, not shape {p.shape}")
+    tail = max(0.0, 1.0 - float(p.sum()))
+    return 0.5 * (float(np.abs(emp - p).sum()) + tail)

@@ -3,12 +3,13 @@
 Texture marginals: the finite-activity K-texture law with a point mass
 at zero, and the gamma law of the infinite-activity example.  Window
 count laws: Polya-Aeppli (Poisson-compounded geometric clusters) and
-negative binomial (logarithmic clusters).  All mass functions are
-evaluated in the log domain.
+negative binomial (logarithmic clusters); each takes an int or an integer
+array of n.  All mass functions are evaluated in the log domain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -101,50 +102,54 @@ def gamma_texture_law(nu: float) -> TextureLaw:
     return TextureLaw("gamma", 0.0, _vectorized(pdf), _vectorized(cdf))
 
 
-def polya_aeppli_pmf(nu: float, p: float, n: int) -> float:
+def _count_pmf(log_pmf):
+    """A count PMF from its log, which gets max(n, 0) as a float array.  n is
+    an int or an integer array of any shape, the PMF is 0 below n = 0 and a
+    float for a scalar n, and a non-integer or non-finite n is refused."""
+    @functools.wraps(log_pmf)
+    def pmf(a: float, b: float, n):
+        ns = np.asarray(n, dtype=float)
+        bad = ns[~np.isfinite(ns) | (ns != np.floor(ns))]
+        if bad.size:
+            raise ValueError(f"n must be an integer or an array of integers, not {bad.flat[0]:g}")
+        out = np.where(ns < 0, 0.0, np.exp(log_pmf(a, b, np.maximum(ns, 0.0))))
+        return float(out) if np.ndim(n) == 0 else out
+    return pmf
+
+
+@_count_pmf
+def polya_aeppli_pmf(nu: float, p: float, n) -> float | np.ndarray:
     """Window-count PMF for geometric clusters of parameter p.
 
-    The Poisson rate of clusters is nu*(1-p); n = 0 carries the whole
-    no-cluster mass e^(-nu(1-p)).
+    Clusters come at Poisson rate lam = nu*(1-p).  Panjer's recursion,
+    n p_n = (2q(n-1) + lam p) p_(n-1) - q^2 (n-2) p_(n-2) with q = 1 - p, runs
+    once to the largest n on s_n = p_n / p_(n-1) - q, summing log1p(s_k / q)
+    into log p_n - (n-1) log q: p_0 = e^(-lam) may underflow, and the small
+    terms keep the sum's rounding small.
     """
     if not (0 < nu < math.inf and 0.0 < p < 1.0):
         raise ValueError("nu must be positive and finite and p must lie in (0, 1)")
-    lam = nu * (1.0 - p)
-    if n < 0:
-        return 0.0
-    if n == 0:
-        return math.exp(-lam)
-    ks = np.arange(1, n + 1, dtype=float)
-    logs = (
-        -lam
-        + ks * math.log(lam)
-        - gammaln(ks + 1.0)
-        + gammaln(float(n))
-        - gammaln(ks)
-        - gammaln(n - ks + 1.0)
-        + (n - ks) * math.log1p(-p)
-        + ks * math.log(p)
-    )
-    mx = logs.max()
-    return float(math.exp(mx) * np.exp(logs - mx).sum())
+    lam, q = nu * (1.0 - p), 1.0 - p
+    s = lam * p / 2.0  # s_2; s_1 = lam p - q would round to -q at a tiny lam p
+    logs = [-lam, math.log(lam) + math.log(p), math.log1p(s / q)]
+    for k in range(3, int(n.max(initial=0.0)) + 1):
+        s = (lam * p + q * (k - 2) * s / (q + s)) / k
+        logs.append(math.log1p(s / q))
+    return np.cumsum(logs)[n.astype(np.intp)] + np.maximum(n - 1.0, 0.0) * math.log(q)
 
 
+@_count_pmf
 def negbin_pmf(nu: float, nbar: float, n) -> float | np.ndarray:
-    """Negative binomial window-count PMF with shape nu and mean nbar; 0 below n = 0."""
+    """Negative binomial window-count PMF with shape nu and mean nbar."""
     if not (0 < nu < math.inf and 0 < nbar < math.inf):
         raise ValueError("nu and nbar must be positive and finite")
-    ns = np.asarray(n, dtype=float)
-    # evaluated at max(n, 0), where gammaln(n + nu) - gammaln(n + 1) is finite
-    m = np.maximum(ns, 0.0)
-    logp = (
-        gammaln(m + nu)
+    return (
+        gammaln(n + nu)
         - gammaln(nu)
-        - gammaln(m + 1.0)
-        + m * math.log(nbar / nu)
-        - (nu + m) * math.log1p(nbar / nu)
+        - gammaln(n + 1.0)
+        + n * math.log(nbar / nu)
+        - (nu + n) * math.log1p(nbar / nu)
     )
-    out = np.where(ns < 0, 0.0, np.exp(logp))
-    return float(out) if np.ndim(n) == 0 else out
 
 
 def texture_cov(nu: float, window: float, h2: float, s) -> float | np.ndarray:

@@ -25,6 +25,9 @@ from .mixing import MixingLaw, pgf_k
 # large shape whatever shape a run uses
 GAUSSIAN_LIMIT_NU = 1e4
 
+# the covariance suite's last lag, in windows T: the triangle has vanished there
+TAIL_LAG = 1.5
+
 
 class Check(NamedTuple):
     """One oracle comparison; `tol` is the bound the verdict `ok` used."""
@@ -62,11 +65,16 @@ def marginal_checks(samples, law, cfg) -> list:
     return [_check(f"ks_vs_{law.kind}", ks, 0.0, 0.02)]
 
 
+def tail_lag_steps(cfg) -> int:
+    """Grid steps to the lag TAIL_LAG * T; the grid must have more points."""
+    return int(round(TAIL_LAG * cfg.window / cfg.dt))
+
+
 def covariance_checks(samples, model, cfg) -> list:
     """Triangular autocovariance at lags 0, T/4, T/2, 3T/4 within a tenth of
-    the variance, and the vanishing lag 1.5T within 3 Bartlett standard
-    errors sqrt((c0^2 + 2 sum_k c_k^2) / n)."""
-    summ = summarize(samples, cfg.dt, 1.5 * cfg.window)
+    the variance, and the vanishing lag TAIL_LAG * T within 3 Bartlett
+    standard errors sqrt((c0^2 + 2 sum_k c_k^2) / n)."""
+    summ = summarize(samples, cfg.dt, TAIL_LAG * cfg.window)
     lag0 = texture_cov(cfg.nu, cfg.window, model.h2, 0.0)
     rows = []
     for frac in (0.0, 0.25, 0.5, 0.75):
@@ -76,8 +84,8 @@ def covariance_checks(samples, model, cfg) -> list:
                            0.1 * lag0, inclusive=True))
     c = np.array([v for _, v in summ.autocov])
     se = math.sqrt((c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2)) / summ.n)
-    k = int(round(1.5 * cfg.window / cfg.dt))
-    rows.append(_check("autocov_lag_1.5T", summ.autocov[k][1], 0.0, 3.0 * se,
+    k = tail_lag_steps(cfg)
+    rows.append(_check(f"autocov_lag_{TAIL_LAG:g}T", summ.autocov[k][1], 0.0, 3.0 * se,
                        inclusive=True))
     return rows
 

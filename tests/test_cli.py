@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cgclutter
-from cgclutter import mixing
+from cgclutter import cli, mixing
 from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
 
@@ -417,6 +417,27 @@ def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "finite-k", "--suite", "covariance"],
+    ["--model", "finite-k", "--suite", "all"],
+    ["--model", "custom-lst", "--lst-file", "missing.csv", "--suite", "all"],
+], ids=["covariance", "all", "custom-lst-unread"])
+def test_duration_short_of_the_covariance_lag_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # at T 8 and dt 0.1 the lag 1.5T is grid step 120, so the grid needs 121
+    # points: --duration 12; refused before a table is read or a path simulated
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate", None)
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", *argv, "--nu", "2", "--duration", "11.9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("--duration 11.9 is too short for the covariance suite: its lag 1.5T "
+            "needs a --duration of at least 12") in err
+    monkeypatch.undo()
+    assert run(["validate", "--model", "finite-k", "--nu", "2", "--duration", "12",
+                "--suite", "covariance"]) in (0, 4)
 
 
 class TestLawtable:

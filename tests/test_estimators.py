@@ -133,9 +133,34 @@ class TestKsDistance:
 class TestTotalVariation:
     def test_hand_worked(self):
         emp = {0: 0.5, 1: 0.5}
-        pmf = lambda n: 0.25 if n in (0, 1) else (0.5 if n == 2 else 0.0)
+        pmf = lambda n: np.select([n <= 1, n == 2], [0.25, 0.5], 0.0)
         # |0.5-0.25| + |0.5-0.25| plus unmatched tail 0.5 -> TV = 0.5
         assert total_variation(emp, pmf) == pytest.approx(0.5)
+
+    def test_calls_the_pmf_once_on_every_outcome(self):
+        calls = []
+
+        def pmf(n):
+            calls.append(n)
+            return negbin_pmf(2.0, 5.0, n)
+
+        total_variation({3: 0.25, 0: 0.5, 7: 0.25}, pmf)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(8))
+        assert calls[0].dtype.kind == "i"
+
+    @pytest.mark.parametrize("emp, message", [
+        ({-1: 0.5, 0: 0.5}, "not -1"),
+        ({0: 0.5, 1.0: 0.5}, "not 1.0"),
+        ({0: 0.5, 1.5: 0.5}, "not 1.5"),
+    ], ids=["negative", "float", "non-integer"])
+    def test_refuses_an_outcome_that_is_not_a_count(self, emp, message):
+        with pytest.raises(ValueError, match=f"outcomes must be nonnegative integers, {message}"):
+            total_variation(emp, lambda n: (n == 0).astype(float))
+
+    def test_refuses_a_pmf_that_is_not_one_value_per_outcome(self):
+        with pytest.raises(ValueError, match="one value per outcome"):
+            total_variation({0: 0.5, 1: 0.5}, lambda n: 0.5)
 
     def test_zero_for_perfect_match(self):
         p = 0.3

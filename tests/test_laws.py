@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, pdtr
+from scipy.special import gammainc, gammaln, pdtr
 from scipy.stats import gamma, nbinom
 
 from cgclutter import (
@@ -125,16 +125,62 @@ class TestCountLaws:
             assert polya_aeppli_pmf(2.0, 0.1, n) == pytest.approx(want, rel=1e-9)
 
     def test_polya_aeppli_normalizes(self):
-        total = sum(polya_aeppli_pmf(2.0, 0.1, n) for n in range(400))
+        total = polya_aeppli_pmf(2.0, 0.1, np.arange(400)).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_polya_aeppli_mean(self):
         # mean = lam / p with lam = nu (1-p): clusters of geometric size
-        mean = sum(n * polya_aeppli_pmf(2.0, 0.1, n) for n in range(600))
+        ns = np.arange(600)
+        mean = np.dot(ns, polya_aeppli_pmf(2.0, 0.1, ns))
         assert mean == pytest.approx(2.0 * 0.9 / 0.1, rel=1e-9)
 
     def test_polya_aeppli_is_zero_below_zero(self):
         assert polya_aeppli_pmf(2.0, 0.1, -1) == 0.0
+        out = polya_aeppli_pmf(2.0, 0.1, np.arange(-3, 4))
+        np.testing.assert_array_equal(out[:3], 0.0)
+        np.testing.assert_array_equal(out[3:], polya_aeppli_pmf(2.0, 0.1, np.arange(4)))
+
+    @pytest.mark.parametrize("nu, p", [(2.0, 0.1), (0.3, 0.01), (2000.0, 0.5)])
+    def test_polya_aeppli_scalar_is_the_array_element(self, nu, p):
+        ns = np.arange(3001)
+        table = polya_aeppli_pmf(nu, p, ns)
+        for n in ns[::37].tolist() + [3000]:
+            got = polya_aeppli_pmf(nu, p, n)
+            assert type(got) is float and got == table[n]
+        # any shape and order
+        grid = ns[1:].reshape(50, 60)[::-1]
+        np.testing.assert_array_equal(polya_aeppli_pmf(nu, p, grid), table[grid])
+
+    @pytest.mark.parametrize("nu", [0.3, 2.0, 50.0, 2000.0])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9])
+    def test_polya_aeppli_matches_the_log_sum(self, nu, p):
+        # reference: the sum over k clusters of e^-lam lam^k / k! C(n-1, k-1)
+        # p^k q^(n-k), in the log domain; O(n) a value, so n is sampled
+        def log_sum(n):
+            lam = nu * (1.0 - p)
+            if n == 0:
+                return math.exp(-lam)
+            ks = np.arange(1, n + 1, dtype=float)
+            logs = (-lam + ks * math.log(lam) - gammaln(ks + 1.0) + gammaln(float(n))
+                    - gammaln(ks) - gammaln(n - ks + 1.0) + (n - ks) * math.log1p(-p)
+                    + ks * math.log(p))
+            mx = logs.max()
+            return float(math.exp(mx) * np.exp(logs - mx).sum())
+
+        ns = np.r_[0:40, 40:3000:29, 3000]
+        got = polya_aeppli_pmf(nu, p, ns)
+        want = np.array([log_sum(n) for n in ns])
+        keep = want > 1e-300
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf, [0, 1, 2.5]],
+                             ids=["half", "nan", "inf", "-inf", "array"])
+    @pytest.mark.parametrize("pmf", [lambda n: polya_aeppli_pmf(2.0, 0.1, n),
+                                     lambda n: negbin_pmf(2.0, 59.85, n)],
+                             ids=["polya-aeppli", "negbin"])
+    def test_count_pmfs_refuse_a_non_integer_n(self, pmf, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            pmf(n)
 
     def test_polya_aeppli_rejects_bad_p(self):
         for p in (0.0, 1.0, -0.2):
