@@ -130,6 +130,8 @@ def polya_aeppli_pmf(nu: float, p: float, n) -> float | np.ndarray:
     if not (0 < nu < math.inf and 0.0 < p < 1.0):
         raise ValueError("nu must be positive and finite and p must lie in (0, 1)")
     lam, q = nu * (1.0 - p), 1.0 - p
+    if lam == 0.0:  # nu (1 - p) underflows: the law is the point mass at 0
+        return np.where(n == 0, 0.0, -np.inf)
     s = lam * p / 2.0  # s_2; s_1 = lam p - q would round to -q at a tiny lam p
     logs = [-lam, math.log(lam) + math.log(p), math.log1p(s / q)]
     for k in range(3, int(n.max(initial=0.0)) + 1):

@@ -46,10 +46,12 @@ class AR1:
 class CustomACF:
     """Autocovariance at lags 0, dt, 2 dt, ...; lags past the tuple are zero.
 
-    acf[0] is the variance: a custom ACF does not use SpeckleSpec.variance.
-    gen_speckle factors the n x n Toeplitz covariance by Cholesky, else by
-    eigh, in real arithmetic when every lag is real; n is at most
-    CUSTOM_ACF_MAX_N.
+    acf[0] is the variance: a custom ACF does not use SpeckleSpec.variance,
+    and every lag must be finite.  gen_speckle factors the n x n Toeplitz
+    covariance by Cholesky, else by eigh.  When every lag is real it factors
+    two exact half-size blocks instead, in real arithmetic: about a quarter
+    of the work and under half the memory.  A complex ACF keeps the full
+    factor.  n is at most CUSTOM_ACF_MAX_N.
     """
 
     acf: tuple
@@ -61,6 +63,9 @@ class CustomACF:
         if not (v0.imag == 0.0 and v0.real > 0.0):
             raise ValueError("custom ACF lag 0 is the variance: it must be real "
                              f"and positive, got {self.acf[0]!r}")
+        bad = np.flatnonzero(~np.isfinite(np.asarray(self.acf, dtype=complex)))
+        if bad.size:
+            raise ValueError(f"custom ACF lag {bad[0]} is not finite: {self.acf[bad[0]]!r}")
 
 
 Correlation = Union[White, AR1, CustomACF]
@@ -124,27 +129,62 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     if n > CUSTOM_ACF_MAX_N:
         raise ValueError(f"custom ACF limited to n <= {CUSTOM_ACF_MAX_N}")
     vals = np.asarray(corr.acf, dtype=complex)[:n]
-    real = not vals.imag.any()  # a symmetric spectrum: factor in real arithmetic
-    acf = np.zeros(n, dtype=float if real else complex)
-    acf[: len(vals)] = vals.real if real else vals
+    if not vals.imag.any():  # a symmetric spectrum: factor in real arithmetic
+        return _real_acf_speckle(vals.real, n, rng)
+    acf = np.zeros(n, dtype=complex)
+    acf[: len(vals)] = vals
     # Hermitian Toeplitz C[i, j] = lags[n - 1 + i - j]: acf[i - j] on and
     # below the diagonal, conj(acf[j - i]) above it; row i is window i reversed
     lags = np.concatenate([np.conj(acf[:0:-1]), acf])
-    C = sliding_window_view(lags, n)[:, ::-1].copy()
+    L = _factor(sliding_window_view(lags, n)[:, ::-1].copy(), acf[0].real)
+    return L @ _white_complex(n, rng, 1.0)
+
+
+def _factor(C, var):
+    """L with L L^H = C: Cholesky, else eigh of a positive semidefinite C."""
     try:
-        L = np.linalg.cholesky(C)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         evals, evecs = np.linalg.eigh(C)
-        if evals.min() < -1e-10 * max(abs(acf[0]), 1.0):
+        if evals.min() < -1e-10 * max(var, 1.0):
             raise ValueError("custom ACF is not positive semidefinite") from None
-        L = evecs  # scaled in place: one n x n array fewer
-        L *= np.sqrt(np.clip(evals, 0.0, None))
-    del C
-    w = _white_complex(n, rng, 1.0)
-    if real:
-        # the real and imaginary parts as two right-hand columns of one real product
-        return (L @ w.view(float).reshape(n, 2)).view(complex).ravel()
-    return L @ w
+        evecs *= np.sqrt(np.clip(evals, 0.0, None))  # scaled in place: one array fewer
+        return evecs
+
+
+def _real_acf_speckle(vals, n, rng):
+    """Speckle of a real ACF from two half-size factors of its covariance C.
+
+    C is symmetric Toeplitz, so it commutes with the order reversal J, and
+    the orthogonal Q with columns (e_i +- e_(n-1-i))/sqrt 2, i < m = n // 2,
+    and e_m for odd n makes Q^T C Q two blocks (Cantoni & Butler 1976): T + H
+    of size n - m over the plus columns and e_m, T - H of size m over the
+    minus ones, with T[i, j] = c[|i - j|] and H[i, j] = c[n - 1 - i - j].
+    x = Q [L+ w_top; L- w_bottom] from one white vector w.
+    """
+    c = np.zeros(n)
+    c[: len(vals)] = vals
+    m, h = n // 2, n - n // 2
+    T = sliding_window_view(np.concatenate([c[h - 1:0:-1], c[:h]]), h)[:, ::-1]
+    H = sliding_window_view(c[::-1], h)[:h]
+    plus = T + H
+    # odd n: the middle row and column of T + H are 2 c[m - i], where the
+    # block has c[0] on the diagonal and sqrt 2 c[m - i] off it
+    plus[m:] *= np.sqrt(0.5)
+    plus[:, m:] *= np.sqrt(0.5)
+    L_plus = _factor(plus, c[0])
+    del plus
+    L_minus = _factor(T[:m, :m] - H[:m, :m], c[0])
+    # the real and imaginary parts as two right-hand columns of one real product
+    w = _white_complex(n, rng, 1.0).view(float).reshape(n, 2)
+    y_plus, y_minus = L_plus @ w[:h], L_minus @ w[h:]
+    y_plus[:m] *= np.sqrt(0.5)
+    y_minus *= np.sqrt(0.5)
+    x = np.empty((n, 2))
+    x[:m] = y_plus[:m] + y_minus
+    x[::-1][:m] = y_plus[:m] - y_minus
+    x[m:h] = y_plus[m:]
+    return x.view(complex).ravel()
 
 
 def compose(path: TexturePath, speckle: np.ndarray, dt: float) -> ClutterSeries:

@@ -140,6 +140,16 @@ class TestCountLaws:
         np.testing.assert_array_equal(out[:3], 0.0)
         np.testing.assert_array_equal(out[3:], polya_aeppli_pmf(2.0, 0.1, np.arange(4)))
 
+    @pytest.mark.parametrize("nu, p", [(5e-324, 0.5), (1e-320, 1.0 - 1e-6)])
+    def test_polya_aeppli_at_an_underflowed_rate_is_the_point_mass_at_0(self, nu, p):
+        # lam = nu (1 - p) rounds to 0: no clusters, so no count but 0
+        assert nu * (1.0 - p) == 0.0
+        assert polya_aeppli_pmf(nu, p, 0) == 1.0
+        assert polya_aeppli_pmf(nu, p, 3) == 0.0
+        assert isinstance(polya_aeppli_pmf(nu, p, 0), float)
+        np.testing.assert_array_equal(polya_aeppli_pmf(nu, p, np.arange(-2, 4)),
+                                      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("nu, p", [(2.0, 0.1), (0.3, 0.01), (2000.0, 0.5)])
     def test_polya_aeppli_scalar_is_the_array_element(self, nu, p):
         ns = np.arange(3001)

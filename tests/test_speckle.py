@@ -1,8 +1,10 @@
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgclutter import (
     AR1,
@@ -14,6 +16,73 @@ from cgclutter import (
     gen_speckle,
 )
 from cgclutter.speckle import CUSTOM_ACF_MAX_N
+
+
+# n: (complex ACF, SHA-256s of its draw at seed 11 by the full-factor code
+# before real ACFs were split), on OpenBLAS 0.3.31's x86-64 kernels, which
+# round the factor differently: SkylakeX on several threads and on one,
+# Haswell and Zen, Sandybridge, Nehalem, Prescott.  eigh runs at n = 64 (a
+# shifted Gaussian spectrum) and Cholesky at n = 65
+COMPLEX_PINS = {
+    64: (np.exp(-np.arange(60) ** 2 / 50.0) * np.exp(0.3j * np.arange(60)), {
+        "e95894ed768ba66ba27b22d7e7ad23d7e0ce177a2732631bf79ebedcf282f6ce",
+        "fe3dce8c392af7c5de542a87bc13bfd9647f4a094611253e1ce5b160d14e9769",
+        "44535e21bfaa7fa11a94c6aae8703abe40cec9c40e54269fa13b9c0988ab4e1a",
+        "74b412316ccc2c65691515ffea1915efcb9fb4e2cfcb8d5cd5be0214a252b771",
+        "9ce35597334a14f4e888ae07d949d573ca7182b9bd0ff8085761183691335bfc",
+    }),
+    65: (np.array([1.0, 0.4, 0.1]) * np.exp(0.3j * np.arange(3)), {
+        "cab167e973bb8131a6c37e6a17955f52a3c82700500a18c809ffe40c2e3c769a",
+        "e55375f51ffaa9e6fcc21024c9224c9273307ae066a4139c3b990bf0a54de80b",
+        "94d287f7b356be807b6adf73f78bfa97c2ca03f6397eb5cd36c6ef059168038d",
+        "6582f09121fbec8c68299614158ad9d88eb91d852b70a1bbe6bf94642245dbee",
+    }),
+}
+
+
+class UnitWhite:
+    """A stand-in generator whose standard_normal returns the queued vectors."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, n):
+        return self.draws.pop(0)
+
+
+def toeplitz_cov(acf, n):
+    """The n x n Toeplitz covariance C[i, j] = acf[i - j], conj(acf[j - i]) above."""
+    lags = np.asarray(acf, dtype=complex)[:n]
+    c = np.zeros(n, dtype=complex)
+    c[: len(lags)] = lags
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    C = np.where(d >= 0, c[np.abs(d)], np.conj(c[np.abs(d)]))
+    return C.real.copy() if not c.imag.any() else C
+
+
+def full_factor(C):
+    """A factor of C as gen_speckle took it for every ACF before a real one was
+    split in two: Cholesky, else eigh scaled by the clipped root eigenvalues."""
+    try:
+        return np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(C)
+        if evals.min() < -1e-10 * max(abs(C[0, 0]), 1.0):
+            raise ValueError("custom ACF is not positive semidefinite") from None
+        evecs *= np.sqrt(np.clip(evals, 0.0, None))
+        return evecs
+
+
+def implied_covariance(acf, n):
+    """Cov(Re x), Cov(Im x) and Cov(Re x, Im x) of gen_speckle's linear map
+    from the standard normals it draws, driven by each unit vector in turn."""
+    spec = SpeckleSpec(correlation=CustomACF(tuple(acf)))
+    zero, xs = np.zeros(n), []
+    for unit in np.eye(n):
+        xs.append(gen_speckle(spec, n, UnitWhite(unit, zero)))
+        xs.append(gen_speckle(spec, n, UnitWhite(zero, unit)))
+    X = np.array(xs).T
+    return X.real @ X.real.T, X.imag @ X.imag.T, X.real @ X.imag.T
 
 
 class TestGenSpeckle:
@@ -64,11 +133,43 @@ class TestGenSpeckle:
     def test_custom_acf_rejects_indefinite(self):
         real = np.array([1.0, 0.9, -0.9])
         # modulated by e^{0.3ik}: a unitary similarity of the indefinite real
-        # Toeplitz matrix, so the complex path sees the same eigenvalues
+        # Toeplitz matrix, so the complex path sees the same eigenvalues; a
+        # real ACF at odd n splits into blocks with the middle row
         for acf in (real, real * np.exp(0.3j * np.arange(3))):
-            with pytest.raises(ValueError, match="positive semidefinite"):
-                gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), 16,
-                            np.random.default_rng(0))
+            for n in (16, 17):
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), n,
+                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("acf", [(1.0, 0.6, 0.2), tuple(np.exp(-np.arange(64) ** 2 / 128.0))],
+                             ids=["definite", "singular"])
+    def test_custom_acf_real_split_reproduces_the_covariance(self, acf, n):
+        # the two half-size factors give C exactly: C/2 in each part, no cross term
+        C = toeplitz_cov(acf, n)
+        re, im, cross = implied_covariance(acf, n)
+        np.testing.assert_allclose(re, C / 2, rtol=0, atol=1e-12 * acf[0])
+        np.testing.assert_allclose(im, C / 2, rtol=0, atol=1e-12 * acf[0])
+        np.testing.assert_array_equal(cross, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+           tones=st.integers(1, 6), nugget=st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_custom_acf_real_split_matches_the_full_factor(self, n, seed, tones, nugget):
+        # a nonnegative spectrum of a few tones is positive semidefinite at
+        # every n, and singular past 2 * tones lags unless a nugget is added
+        rng = np.random.default_rng(seed)
+        freq, weight = rng.uniform(0.0, np.pi, tones), rng.exponential(size=tones)
+        acf = np.cos(np.outer(np.arange(n), freq)) @ weight
+        acf[0] += nugget
+        C = toeplitz_cov(acf, n)
+        L = full_factor(C)
+        re, im, cross = implied_covariance(acf, n)
+        tol = 1e-13 * n * acf[0]
+        np.testing.assert_allclose(L @ L.T, C, rtol=0, atol=tol)
+        np.testing.assert_allclose(2 * re, L @ L.T, rtol=0, atol=tol)
+        np.testing.assert_allclose(2 * im, L @ L.T, rtol=0, atol=tol)
+        np.testing.assert_array_equal(cross, 0.0)
 
     def test_custom_acf_real_matches_zero_imaginary(self):
         # lags with zero imaginary parts take the real path whatever their type
@@ -102,11 +203,32 @@ class TestGenSpeckle:
             assert got.real == pytest.approx(acf[lag].real, abs=0.04)
             assert got.imag == pytest.approx(acf[lag].imag, abs=0.04)
 
+    @pytest.mark.parametrize("n", sorted(COMPLEX_PINS))
+    def test_custom_acf_complex_draws_are_unchanged(self, n):
+        # a complex ACF keeps the full factor: the same bytes as that factor
+        # times the same white vector, and one of the pinned draws
+        acf, pins = COMPLEX_PINS[n]
+        x = gen_speckle(SpeckleSpec(correlation=CustomACF(tuple(acf))), n,
+                        np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        want = full_factor(toeplitz_cov(acf, n)) @ (
+            np.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        assert x.tobytes() == want.tobytes()
+        digest = hashlib.sha256(x.tobytes()).hexdigest()
+        if digest not in pins:
+            pytest.skip(f"no pin for this BLAS's rounding of the full factor ({digest[:12]})")
+
     @pytest.mark.parametrize("acf", [(), (1 + 0.5j, 0.3), (0.0, 0.1), (-1.0,),
                                      (float("nan"),)])
     def test_custom_acf_rejects_bad_lag0(self, acf):
         with pytest.raises(ValueError, match="lag 0"):
             CustomACF(acf)
+
+    @pytest.mark.parametrize("lag1", [float("nan"), float("inf"), complex(0.0, float("nan"))],
+                             ids=["nan", "inf", "complex-nan"])
+    def test_custom_acf_rejects_a_non_finite_lag(self, lag1):
+        with pytest.raises(ValueError, match="lag 1 is not finite"):
+            CustomACF((1.0, lag1, 0.2))
 
     def test_custom_acf_refuses_n_past_max_before_allocating(self):
         spec = SpeckleSpec(correlation=CustomACF((1.0, 0.5)))
