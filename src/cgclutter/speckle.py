@@ -35,6 +35,20 @@ class White:
 
 @dataclass(frozen=True)
 class AR1:
+    """x_i = rho x_(i-1) + w_i from a stationary start: lag-k correlation rho^k.
+
+    gen_speckle computes, bit for bit, the loop y = w + rho * y with one
+    rounding for the product and one for the sum, which is what
+    scipy.signal.lfilter([1], [1, -rho], w, zi=[rho x0]) gives, in numpy
+    alone: blocks of B = clip(ceil(16/(1 - rho)), 64, n) steps run side by
+    side from predicted starts, and a block whose start is not the end of the
+    block before it is rerun from that end (_ar1_speckle).  A block's steps
+    run in sequence, so the cost grows as 1/(1 - rho): at n = 1e6 + 1 a draw
+    took about 57 ms at rho 0.9, where the lfilter path took 62 ms (about
+    35 ms of each is the normal draws), 0.1 s at 0.999 and 0.4 s at 0.9999
+    (medians on a 2-vCPU Xeon).
+    """
+
     rho: float
 
     def __post_init__(self):
@@ -82,6 +96,9 @@ class SpeckleSpec:
             raise ValueError("speckle variance must be positive and finite")
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
+        if not isinstance(self.correlation, (White, AR1, CustomACF)):
+            raise ValueError("speckle correlation must be White, AR1 or CustomACF, "
+                             f"got {type(self.correlation).__name__}")
 
     def to_dict(self) -> dict:
         corr = self.correlation
@@ -118,13 +135,7 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     if isinstance(corr, White):
         return _white_complex(n, rng, spec.variance)
     if isinstance(corr, AR1):
-        from scipy.signal import lfilter  # scipy.signal loads scipy.stats: ~1 s
-
-        rho = corr.rho
-        w = _white_complex(n, rng, spec.variance * (1.0 - rho ** 2))
-        x0 = _white_complex(1, rng, spec.variance)[0]  # stationary start
-        out, _ = lfilter([1.0], [1.0, -rho], w, zi=np.array([rho * x0]))
-        return out
+        return _ar1_speckle(corr.rho, n, rng, spec.variance)
     # CustomACF: color a white vector by a factor of the Toeplitz covariance
     if n > CUSTOM_ACF_MAX_N:
         raise ValueError(f"custom ACF limited to n <= {CUSTOM_ACF_MAX_N}")
@@ -138,6 +149,99 @@ def gen_speckle(spec: SpeckleSpec, n: int, rng: np.random.Generator) -> np.ndarr
     lags = np.concatenate([np.conj(acf[:0:-1]), acf])
     L = _factor(sliding_window_view(lags, n)[:, ::-1].copy(), acf[0].real)
     return L @ _white_complex(n, rng, 1.0)
+
+
+def _ar1_speckle(rho, n, rng, variance):
+    """AR(1) speckle: the loop y = w + rho * y, bit for bit, in blocks at once.
+
+    The series is cut into blocks of B steps, the columns of a (B, blocks)
+    array, so one row holds a step of every block; in its float view the real
+    and imaginary parts are columns of their own, independent real loops.
+    Each step is one multiply and one add over a row, two roundings as in the
+    loop.  The blocks run first from predicted starts (_ar1_starts).  Then, as
+    in Parareal (Lions, Maday & Turinici 2001), each block whose start is not
+    bit for bit the end just computed for the block before it is rerun from
+    that end (_ar1_rerun), until no end moves.  Block 0 starts from x0 itself,
+    so by induction every block is then the loop from the exact end of the
+    block before it.  rho^B <= e^-16 damps a start out of its block, so the
+    first rerun touches a few steps of each block and settled every case
+    tried; B and the predictor change only how much is rerun, never the result.
+    """
+    B = int(min(max(np.ceil(16.0 / (1.0 - rho)), 64), n))
+    nb = -(-n // B)
+    # the white noise is scaled straight into the block layout, with the
+    # draws and generator state of _white_complex; the last block's tail is
+    # 0.  draws is made before w: in the other order glibc trims the heap
+    # after each default simulate run, and the next one faults in about
+    # 3 000 more pages
+    draws = np.empty(nb * B)
+    draws[n:] = 0.0
+    w = np.empty((B, nb), dtype=complex)
+    wf = w.view(float)  # block j's real and imaginary part: columns 2j, 2j + 1
+    scale = np.sqrt(variance * (1.0 - rho ** 2) / 2.0)
+    for part in (0, 1):
+        rng.standard_normal(out=draws[:n])
+        np.multiply(draws.reshape(nb, B).T, scale, out=wf[:, part::2])
+    del draws
+    x0 = _white_complex(1, rng, variance)[0]  # stationary start
+    starts = _ar1_starts(wf, x0, rho)
+    y = np.empty_like(wf)
+    prev = starts
+    for w_row, row in zip(wf, y):
+        np.multiply(prev, rho, out=row)
+        np.add(w_row, row, out=row)
+        prev = row
+    # the blocks whose start is not the end before them, compared as bits
+    cols = 2 + np.flatnonzero(y[-1, :-2].view(np.int64) != starts[2:].view(np.int64))
+    while cols.size:
+        moved = _ar1_rerun(wf, y, cols, rho)
+        cols = moved[moved < 2 * nb - 2] + 2
+    out = w.reshape(-1)  # back to time order, in the white noise's storage
+    np.copyto(out.reshape(nb, B), y.view(complex).T)
+    return out[:n]
+
+
+def _ar1_starts(wf, x0, rho):
+    """Predicted starts of the blocks of _ar1_speckle, as one row of wf.
+
+    Block j starts from the end of block j - 1, and block 0 from x0: each
+    block's end from a zero start plus the ends before it damped by rho^B,
+    by a doubling scan that stops once the damping is 0.  The ends are an
+    einsum, not a BLAS product: a threaded BLAS call leaves its workers
+    spinning against the CSV writer's threads, and made a default
+    `simulate --events --clutter --speckle ar1` run 5-10 % slower.
+    """
+    B, nb = wf.shape[0], wf.shape[1] // 2
+    s = np.empty((nb, 2))
+    s[0] = x0.real, x0.imag
+    ends = np.einsum("i,ij->j", rho ** np.arange(B - 1, -1, -1.0), wf[:, :-2])
+    s[1:] = ends.reshape(nb - 1, 2)
+    q, shift = rho ** B, 1
+    while q and shift < nb:
+        s[shift:] += q * s[:-shift]
+        q, shift = q * q, 2 * shift
+    return s.reshape(-1)
+
+
+def _ar1_rerun(wf, y, cols, rho):
+    """Rerun columns cols of y from the ends of columns cols - 2 (the same
+    part of the block before), checking every 16 steps.
+
+    A column stops once a step gives the value it already holds: the rest of
+    it follows from that value.  Returns the columns whose end moved.
+    """
+    prev = y[-1, cols - 2]
+    for i in range(0, len(y), 16):
+        seg = wf[i: i + 16, cols]
+        for row in seg:
+            row += prev * rho
+            prev = row
+        moved = seg[-1].view(np.int64) != y[i + len(seg) - 1, cols].view(np.int64)
+        y[i: i + 16, cols] = seg
+        cols, prev = cols[moved], seg[-1, moved]
+        if not cols.size:
+            break
+    return cols
 
 
 def _factor(C, var):

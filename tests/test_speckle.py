@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from cgclutter import (
     compose,
     gen_speckle,
 )
+from cgclutter import speckle
 from cgclutter.speckle import CUSTOM_ACF_MAX_N
 
 
@@ -73,6 +75,38 @@ def full_factor(C):
         return evecs
 
 
+def ar1_block(rho):
+    """The block length of gen_speckle's AR(1) recurrence, before it is clipped to n."""
+    return max(math.ceil(16.0 / (1.0 - rho)), 64)
+
+
+def ar1_white(rho, n, seed, variance=1.0):
+    """The AR(1) noise w and start x0 as gen_speckle draws them, and the generator after."""
+    rng = np.random.default_rng(seed)
+    w = np.sqrt(variance * (1.0 - rho ** 2) / 2.0) * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x0 = (np.sqrt(variance / 2.0) * (rng.standard_normal(1) + 1j * rng.standard_normal(1)))[0]
+    return w, x0, rng
+
+
+def ar1_lfilter(rho, n, seed, variance=1.0):
+    """AR(1) speckle by scipy.signal.lfilter, and the generator after its draws."""
+    from scipy.signal import lfilter
+
+    w, x0, rng = ar1_white(rho, n, seed, variance)
+    y, _ = lfilter([1.0], [1.0, -rho], w, zi=np.array([rho * x0]))
+    return y, rng
+
+
+def assert_ar1_is_lfilter(rho, n, seed, variance=1.0):
+    rng = np.random.default_rng(seed)
+    x = gen_speckle(SpeckleSpec(variance, AR1(rho)), n, rng)
+    want, rng_want = ar1_lfilter(rho, n, seed, variance)
+    assert x.shape == (n,)
+    np.testing.assert_array_equal(x.view(np.int64), want.view(np.int64))
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
 def implied_covariance(acf, n):
     """Cov(Re x), Cov(Im x) and Cov(Re x, Im x) of gen_speckle's linear map
     from the standard normals it draws, driven by each unit vector in turn."""
@@ -112,6 +146,49 @@ class TestGenSpeckle:
             draws.append(gen_speckle(SpeckleSpec(correlation=AR1(rho)), 2, rng)[0])
         v = np.mean(np.abs(draws) ** 2)
         assert v == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("length", ["1", "2", "B-1", "B", "B+1", "1e5+1"])
+    def test_ar1_is_lfilter_bit_for_bit(self, rho, length):
+        # one block, a block and a step, and many blocks with a short last one
+        B = ar1_block(rho)
+        n = {"1": 1, "2": 2, "B-1": B - 1, "B": B, "B+1": B + 1, "1e5+1": 100_001}[length]
+        for seed in (0, 1, 2):
+            assert_ar1_is_lfilter(rho, n, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.floats(0.0, 0.999), n=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1), variance=st.floats(1e-3, 1e3))
+    def test_ar1_is_lfilter_on_random_inputs(self, rho, n, seed, variance):
+        assert_ar1_is_lfilter(rho, n, seed, variance)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
+    def test_ar1_is_the_python_loop(self, rho):
+        # y = w + rho * y on floats, one rounding for the product and one for the sum
+        n = 2 * ar1_block(rho) + 3
+        w, x0, _ = ar1_white(rho, n, 9)
+        want = []
+        for part, y in ((w.real, x0.real), (w.imag, x0.imag)):
+            y, col = float(y), []
+            for v in part.tolist():
+                y = v + rho * y
+                col.append(y)
+            want.append(col)
+        x = gen_speckle(SpeckleSpec(correlation=AR1(rho)), n, np.random.default_rng(9))
+        np.testing.assert_array_equal(x.real.view(np.int64), np.array(want[0]).view(np.int64))
+        np.testing.assert_array_equal(x.imag.view(np.int64), np.array(want[1]).view(np.int64))
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
+    def test_ar1_does_not_depend_on_the_predicted_starts(self, rho, monkeypatch):
+        # with every block but the first predicted to start at 0, the reruns
+        # have to carry each block's end into the next, several rounds deep
+        def zero_starts(wf, x0, _rho):
+            starts = np.zeros(wf.shape[1])
+            starts[:2] = x0.real, x0.imag
+            return starts
+
+        monkeypatch.setattr(speckle, "_ar1_starts", zero_starts)
+        assert_ar1_is_lfilter(rho, 30 * ar1_block(rho) + 7, 4)
 
     def test_ar1_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -246,6 +323,11 @@ class TestGenSpeckle:
             gen_speckle(SpeckleSpec(), 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             SpeckleSpec(variance=0.0)
+
+    @pytest.mark.parametrize("corr", [0.9, None, "ar1", AR1], ids=["float", "None", "str", "class"])
+    def test_spec_rejects_a_correlation_of_another_type(self, corr):
+        with pytest.raises(ValueError, match=f"got {type(corr).__name__}"):
+            SpeckleSpec(correlation=corr)
 
     @pytest.mark.parametrize("dt", [0.0, np.inf, np.nan], ids=["0", "inf", "nan"])
     def test_spec_rejects_bad_dt(self, dt):
