@@ -224,7 +224,7 @@ def cmd_validate(args, parser) -> int:
             "marginal": lambda: validation.marginal_checks(samples, law, cfg),
             "covariance": lambda: validation.covariance_checks(samples, model, cfg),
             "moments": lambda: (validation.moment_checks(model, cfg.nu)
-                                + validation.mixing_checks(model, cfg.kappa)),
+                                + validation.mixing_checks(model, cfg.kappa, cfg.seed)),
             "gaussian-limit": lambda: validation.gaussian_limit_checks(model),
         }
         rows = [row for name in suites for row in checks[name]()]

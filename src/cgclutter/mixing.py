@@ -6,9 +6,10 @@ For the built-in models this reduces to the geometric (h = z/(z+1)) and
 logarithmic (h = ln(1+z)) families, which get exact log-domain closed
 forms and native samplers.  Any other model is a gamma-mixture Levy
 measure fitted by `fit_bernstein`: K is then a mixture of zero-truncated
-negative binomials.  A model that is neither is refused.  Finite-activity
-models additionally admit a continuous mixing variable xi with transform
-g(z) = 1 - h((C/h1) z)/C, drawn by `sample_xi`.
+negative binomials, drawn exactly.  No law is tabulated: `MixingLaw.pmf`
+evaluates the PMF on demand.  A model that is neither is refused.
+Finite-activity models additionally admit a continuous mixing variable
+xi with transform g(z) = 1 - h((C/h1) z)/C, drawn by `sample_xi`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .bernstein import BernsteinModel, levy_log_moments
 
@@ -27,9 +28,6 @@ __all__ = [
     "sample_xi",
 ]
 
-CACHE_TARGET_MASS = 1.0 - 1e-10
-CACHE_N_CAP = 10 ** 7
-CACHE_CHUNK = 2 ** 18  # orders x components evaluated at once: 2 MB per temporary
 # Uniform doubles drawn and parsed at once by `_logseries`.  Measured on a
 # 2-vCPU x86-64 Xeon (numpy 2.4), medians of alternated runs: 1.01e6 draws
 # at p = 150/151 took 41.5 ms in blocks of 2**13, 31.9 ms at 2**15,
@@ -66,54 +64,43 @@ class MixingLaw:
                              "p = kappa/(1 + kappa) rounds to 1")
         self.h_kappa = model(kappa)
         self.mean = kappa * model.h1 / self.h_kappa
-        # E[K^2] = -kappa^2 h''(0) / h(kappa) + E[K]; the second derivative
-        # at the origin, not at kappa (confirmed against brute-force PMF
-        # sums for both builtin families).
-        self.second_moment = -(kappa ** 2) * model.h2 / self.h_kappa + self.mean
-        self._build_cache()
-
-    # -- closed-form parameters for the builtin families ------------------
-
-    @property
-    def _geom_p(self) -> float:
-        return 1.0 / (self.kappa + 1.0)
+        # E[K^2] = -kappa^2 h''(0) / h(kappa) + E[K], with h'' at the origin
+        self.second_moment = -self.kappa * self.kappa * model.h2 / self.h_kappa + self.mean
+        if not math.isfinite(self.second_moment):
+            raise ValueError(f"kappa {kappa!r} is too large: E[K^2] overflows")
+        # P(K >= 2**63) is that of a component's gamma rate to a relative 1e-8;
+        # below kappa = 1e16 the log-series law's is E1(2**63/kappa)/ln(kappa) ~ 0
+        if model.family != "logarithmic":
+            c, k, theta, _ = self._components()
+            with np.errstate(over="ignore"):  # 2**63/theta = inf: no tail at all
+                if c @ gammaincc(k, 2.0 ** 63 / theta) > 1e-16 * self.h_kappa:
+                    raise ValueError(f"kappa {kappa!r} is too large: K >= 2**63, past "
+                                     "int64, has probability above 1e-16")
 
     @property
     def _log_p(self) -> float:
         return self.kappa / (1.0 + self.kappa)
 
-    def _log_pmf_block(self, ns: np.ndarray) -> np.ndarray:
-        """log p(n) for an array of n >= 1, family-specialized."""
-        ns = ns.astype(float)
-        if self.model.family == "rational":
-            p = self._geom_p
-            return np.log(p) + (ns - 1.0) * np.log1p(-p)
-        if self.model.family == "logarithmic":
-            p = self._log_p
-            return ns * np.log(p) - np.log(ns) - math.log(-math.log1p(-p))
-        # fitted measure: a mixture of zero-truncated negative binomials
-        return (ns * math.log(self.kappa) - gammaln(ns + 1.0) - math.log(self.h_kappa)
-                + levy_log_moments(self.model.measure, ns, self.kappa))
+    def _components(self):
+        """(c_j, k_j, theta_j = kappa x_j/k_j, a_j = 1 - (1 + theta_j)^-k_j) of the
+        Levy measure (c, k, x); the geometric law's is c = k = x = 1."""
+        c, k, x = self.model.measure or (np.ones(1),) * 3
+        theta = self.kappa * x / k
+        return c, k, theta, -np.expm1(-k * np.log1p(theta))
 
-    def _build_cache(self):
-        # CACHE_N_CAP bounds the terms summed: orders n times fitted components.
-        # Each doubling adds only its new orders, CACHE_CHUNK terms at a time;
-        # log p(n) is computed order by order, so the table does not depend
-        # on how the orders are split.
-        width = 1 if self.model.measure is None else len(self.model.measure[0])
-        rows = max(CACHE_CHUNK // width, 1)
-        pmf = np.empty(0)
-        n_max = 64
-        while True:
-            ns = np.arange(len(pmf) + 1, n_max + 1)
-            pmf = np.concatenate([pmf] + [np.exp(self._log_pmf_block(ns[i:i + rows]))
-                                          for i in range(0, len(ns), rows)])
-            if pmf.sum() >= CACHE_TARGET_MASS or n_max * width >= CACHE_N_CAP:
-                break
-            n_max *= 2
-        self.pmf_table = pmf
-        self.cdf_table = np.cumsum(pmf)
-        self.mass = float(self.cdf_table[-1])
+    def pmf(self, n):
+        """P(K = n) in closed form, for an integer n or an array of them; 0 below 1."""
+        ns = np.asarray(n, dtype=float)
+        m = np.maximum(ns, 1.0)
+        if self.model.family == "rational":  # p (1 - p)^(n - 1), p = 1/(kappa + 1)
+            log_p = -math.log1p(self.kappa) - (m - 1.0) * math.log1p(1.0 / self.kappa)
+        elif self.model.family == "logarithmic":  # p^n/(n ln(1 + kappa)), p = kappa/(1 + kappa)
+            log_p = -m * math.log1p(1.0 / self.kappa) - np.log(m * math.log1p(self.kappa))
+        else:  # a mixture of zero-truncated negative binomials
+            log_p = (m * math.log(self.kappa) - gammaln(m + 1.0) - math.log(self.h_kappa)
+                     + levy_log_moments(self.model.measure, m, self.kappa))
+        out = np.exp(log_p) * (ns >= 1.0)
+        return float(out) if np.ndim(n) == 0 else out
 
 
 def pgf_k(law: MixingLaw, u: float) -> float:
@@ -124,18 +111,23 @@ def pgf_k(law: MixingLaw, u: float) -> float:
 
 
 def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
-    """Draw cluster sizes; native samplers for the builtin families."""
+    """Draw cluster sizes: an int for `size` None, else an int64 array.
+
+    The builtins draw by `rng.geometric` and `_logseries`.  A fitted K is
+    exact, with no table and no rejection: pick component j by weight c_j a_j,
+    invert the CDF (1 - (1 + theta s)^-k) / a of the first point s on [0, 1]
+    of its Poisson process, given one; its rate given s is Gamma(k + 1, scale
+    theta / (1 + theta s)), and K = 1 + Poisson(rate (1 - s))."""
     if law.model.family == "rational":
-        return rng.geometric(law._geom_p, size=size)
+        return rng.geometric(1.0 / (law.kappa + 1.0), size=size)
     if law.model.family == "logarithmic":
         return _logseries(rng, law._log_p, size)
-    if not law.mass >= CACHE_TARGET_MASS:
-        raise ValueError(
-            f"cached PMF mass {law.mass!r} is short of {CACHE_TARGET_MASS!r}; "
-            "tail too heavy for the supported truncation"
-        )
-    u = rng.random(size=size)
-    return np.searchsorted(law.cdf_table, u, side="left") + 1
+    c, k, theta, a = law._components()
+    cdf = np.cumsum(c * a)
+    j = np.searchsorted(cdf, rng.random(size) * cdf[-1])
+    k, theta, a = k[j], theta[j], a[j]
+    s = np.minimum(np.expm1(-np.log1p(-rng.random(size) * a) / k) / theta, 1.0)
+    return 1 + rng.poisson(rng.gamma(k + 1.0, theta / (1.0 + theta * s)) * (1.0 - s))
 
 
 def sample_xi(model: BernsteinModel, rng: np.random.Generator, size=None):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cgclutter import (
     BernsteinModel,
     LimitTransform,
-    MixingLaw,
     fit_bernstein,
     from_lst,
     make_builtin_finite,
@@ -129,7 +128,6 @@ class TestFromLst:
         nu = 60.0
         model = from_lst(LimitTransform(make_builtin_infinite(), nu), nu)
         assert model.h2 == pytest.approx(-1.0, rel=1e-6)
-        assert MixingLaw(model, 150.0).mass > 1.0 - 1e-9
 
     def test_matches_table_fit_bit_for_bit(self, tmp_path):
         # the same samples of G, from the callable or read back from a

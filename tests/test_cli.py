@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cgclutter
-from cgclutter import cli, mixing
+from cgclutter import cli
 from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
 
@@ -115,17 +115,16 @@ class TestSimulate:
         assert code == 3
         assert err.count("\n") == 1 and str(missing) in err
 
-    def test_short_k_cache_exit_3(self, tmp_path, capsys, monkeypatch):
-        # with the cache capped at 1000 terms, the logarithmic-like K of the
-        # fitted ln(1+z) at kappa 150 stops short of its target mass, and
-        # sampling K is refused
-        monkeypatch.setattr(mixing, "CACHE_N_CAP", 1000)
+    def test_custom_lst_cluster_sizes_at_large_kappa(self, tmp_path):
+        # the fitted gamma law at kappa 1e5 draws its cluster sizes exactly;
+        # a PMF table short of its mass refused it
         table = lst_table(tmp_path / "lst.csv", np.log1p)
-        code = run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
-                    "--duration", "200", "--mode", "infinite-approx", "--out", tmp_path / "s"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "cached PMF mass" in err and err.count("\n") == 1
+        out = tmp_path / "k5"
+        assert run(["simulate", "--model", "custom-lst", "--lst-file", table, "--nu", "2",
+                    "--kappa", "1e5", "--mode", "discrete-windowed", "--duration", "200",
+                    "--events", "--out", out]) == 0
+        v = np.loadtxt(out / "events.csv", delimiter=",", skiprows=1, usecols=1)
+        assert v.max() > 0 and np.all(v == np.floor(v))
 
     def test_arrival_budget_exit_1(self, tmp_path, capsys):
         # 2.5e9 expected arrivals against the 1e9 budget: refused before any draw
@@ -473,6 +472,23 @@ def test_kappa_too_large_for_logseries_exit_3(command, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert code == 3
     assert "kappa" in err and err.count("\n") == 1
+    assert not (tmp_path / "bigk").exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e19", "1e300"])
+@pytest.mark.parametrize("command", [["simulate", "--mode", "discrete-windowed", "--events",
+                                      "--out", "bigk"],
+                                     ["validate", "--suite", "moments"]],
+                         ids=["simulate", "validate"])
+def test_kappa_past_int64_cluster_sizes_exit_3(command, kappa, tmp_path, capsys, monkeypatch):
+    # 1e19: geometric draws past 2^63 - 1 (40 % of them saturated there);
+    # 1e300: kappa ** 2 overflowed with a traceback
+    monkeypatch.chdir(tmp_path)
+    code = run([*command, "--model", "finite-k", "--nu", "2", "--kappa", kappa,
+                "--duration", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"kappa {float(kappa)!r} is too large" in err and err.count("\n") == 1
     assert not (tmp_path / "bigk").exists()
 
 

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
+from scipy.stats import nbinom
 
 from cgclutter import (
     BernsteinModel,
@@ -24,6 +27,7 @@ from cgclutter import mixing
 from cgclutter.bernstein import FIT_NODES, LimitTransform, fit_bernstein, from_lst
 from cgclutter.cli import _load_lst_table
 from cgclutter.estimators import ks_critical, ks_distance
+from test_acceptance import _exact_tv_floor, _tv_table
 
 # ln |h^(n)(z)| of the builtins: n! (1+z)^-(n+1) for z/(z+1), (n-1)! (1+z)^-n
 # for ln(1+z); the sign of h^(n) is (-1)^(n+1)
@@ -56,7 +60,7 @@ class TestClosedForms:
         law = MixingLaw(make_builtin_finite(), 9.0)
         p = 0.1
         for n in range(1, 51):
-            assert law.pmf_table[n - 1] == pytest.approx(p * (1 - p) ** (n - 1), rel=1e-12)
+            assert law.pmf(n) == pytest.approx(p * (1 - p) ** (n - 1), rel=1e-12)
 
     def test_logarithmic_pmf(self):
         # h = ln(1+z) at kappa: parameter p = kappa/(1+kappa)
@@ -64,21 +68,21 @@ class TestClosedForms:
         p = 0.5
         for n in range(1, 51):
             want = -(p ** n) / (n * math.log1p(-p))
-            assert law.pmf_table[n - 1] == pytest.approx(want, rel=1e-12)
+            assert law.pmf(n) == pytest.approx(want, rel=1e-12)
 
     def test_pmf_at_zero_is_zero(self):
-        # E[u^K] = p(0) + p(1) u + O(u^2): no constant term, and the table
-        # starts at n = 1
+        # E[u^K] = p(0) + p(1) u + O(u^2): no constant term
         law = MixingLaw(make_builtin_finite(), 9.0)
         u = 1e-9
-        assert pgf_k(law, u) == pytest.approx(law.pmf_table[0] * u, rel=1e-6)
+        assert pgf_k(law, u) == pytest.approx(law.pmf(1) * u, rel=1e-6)
+        assert law.pmf(0) == 0.0 and law.pmf(np.arange(-1, 2))[:2].tolist() == [0.0, 0.0]
 
     def test_derivative_route_matches_closed_forms(self):
         for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 1.0)):
             law = MixingLaw(model, kappa)
             for n in range(1, 51):
                 assert pmf_from_derivatives(model, kappa, n) == pytest.approx(
-                    law.pmf_table[n - 1], rel=1e-12, abs=1e-300
+                    law.pmf(n), rel=1e-12, abs=1e-300
                 )
 
     def test_derivative_route_high_order_log_domain(self):
@@ -95,7 +99,7 @@ class TestClosedForms:
         # past n = 141 kappa^n alone overflows a float; the route stays in logs
         law = MixingLaw(model, 150.0)
         got = [pmf_from_derivatives(model, 150.0, n) for n in range(1, 400)]
-        np.testing.assert_allclose(got, law.pmf_table[:399], rtol=1e-10)
+        np.testing.assert_allclose(got, law.pmf(np.arange(1, 400)), rtol=1e-10)
 
 
 class TestPgfAndMoments:
@@ -104,10 +108,11 @@ class TestPgfAndMoments:
         (make_builtin_infinite(), 150.0),
     ])
     def test_pgf_equals_pmf_sum(self, model, kappa):
+        # 0.9^400 < 1e-18: the rest of the sum is negligible
         law = MixingLaw(model, kappa)
-        ns = np.arange(1.0, len(law.pmf_table) + 1.0)
+        ns = np.arange(1.0, 401.0)
         for u in (0.25, 0.5, 0.9):
-            by_sum = float(np.dot(law.pmf_table, u ** ns))
+            by_sum = float(np.dot(law.pmf(ns), u ** ns))
             assert by_sum == pytest.approx(pgf_k(law, u), abs=1e-8)
 
     def test_pgf_at_one(self):
@@ -128,10 +133,11 @@ class TestPgfAndMoments:
         assert law.mean == pytest.approx(150.0 / math.log(151.0), rel=1e-14)
 
     def test_mean_matches_pmf_sum(self):
+        # past n = 5000 both tails hold less than 1e-13 of the mean
         for model, kappa in ((make_builtin_finite(), 9.0), (make_builtin_infinite(), 150.0)):
             law = MixingLaw(model, kappa)
-            ns = np.arange(1.0, len(law.pmf_table) + 1.0)
-            assert float(np.dot(law.pmf_table, ns)) == pytest.approx(
+            ns = np.arange(1.0, 5001.0)
+            assert float(np.dot(law.pmf(ns), ns)) == pytest.approx(
                 law.mean, rel=1e-6
             )
 
@@ -147,8 +153,8 @@ class TestPgfAndMoments:
 
     def test_second_moment_matches_pmf_sum(self):
         law = MixingLaw(make_builtin_infinite(), 20.0)
-        ns = np.arange(1.0, len(law.pmf_table) + 1.0)
-        assert float(np.dot(law.pmf_table, ns ** 2)) == pytest.approx(
+        ns = np.arange(1.0, 2001.0)  # (20/21)^2000 < 1e-42
+        assert float(np.dot(law.pmf(ns), ns ** 2)) == pytest.approx(
             law.second_moment, rel=1e-6
         )
 
@@ -167,17 +173,88 @@ class TestSampling:
         rng = np.random.default_rng(5)
         k = sample_k(law, rng, size=500_000)
         counts = np.bincount(k)
-        tv = np.abs(counts[1:] / len(k) - law.pmf_table[:len(counts) - 1]).sum()
+        tv = np.abs(counts[1:] / len(k) - law.pmf(np.arange(1, len(counts)))).sum()
         assert 0.5 * tv < 0.005
 
+    @pytest.mark.parametrize("model", [make_builtin_finite(), make_builtin_infinite(),
+                                       fit_bernstein(FIT_NODES, FIT_NODES / (FIT_NODES + 1.0))],
+                             ids=["rational", "logarithmic", "levy"])
+    def test_one_draw_is_an_int(self, model):
+        # a fitted model's draw was a numpy.int64
+        assert type(sample_k(MixingLaw(model, 150.0), np.random.default_rng(0))) is int
+
     def test_generic_inversion_sampler(self):
-        # the Levy measure fitted to z/(z+1) is sampled by CDF inversion
+        # the Levy measure fitted to z/(z+1) is sampled as a negative-binomial mixture
         model = fit_bernstein(FIT_NODES, make_builtin_finite()(FIT_NODES))
         law = MixingLaw(model, 9.0)
         rng = np.random.default_rng(3)
         k = sample_k(law, rng, size=200_000)
         assert k.min() >= 1
         assert k.mean() == pytest.approx(10.0, rel=0.02)
+
+
+@functools.cache
+def gamma_fit():
+    """`from_lst` of the gamma law of ln(1 + z) at nu = 2: a fitted K close to log-series."""
+    return from_lst(LimitTransform(make_builtin_infinite(), 2.0), 2.0)
+
+
+@functools.cache
+def k_texture_fit():
+    """`from_lst` of the K-texture law of z/(z + 1) at nu = 2: a fitted K close to geometric."""
+    return from_lst(LimitTransform(make_builtin_finite(), 2.0), 2.0)
+
+
+class NbinomMixture:
+    """A fitted model's K, brute force from scipy.stats.nbinom: component j
+    is NB(k_j, 1/(1 + theta_j)), theta_j = kappa x_j / k_j, with weight c_j,
+    and the mixture is conditioned on K >= 1."""
+
+    def __init__(self, model, kappa):
+        c, k, x = model.measure
+        self.c, self.k, self.q = c, k, 1.0 / (1.0 + kappa * x / k)
+        self.positive = float(c @ nbinom.sf(0, k, self.q))
+
+    def pmf(self, n):
+        return nbinom.pmf(np.asarray(n)[:, None], self.k, self.q) @ self.c / self.positive
+
+    def sf(self, n):
+        """P(K > n) for n >= 0."""
+        return nbinom.sf(np.asarray(n)[:, None], self.k, self.q) @ self.c / self.positive
+
+
+# cells of K: each size to 64, then 200 log-spaced cells to 1e18 and one
+# past it
+EDGES = np.unique(np.concatenate([np.arange(1, 65), np.geomspace(65, 1e18, 200).round()]))
+
+
+class TestFittedSampler:
+    @pytest.mark.parametrize("fit", [gamma_fit, k_texture_fit])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(kappa=st.floats(1.0, 1e8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_nbinom_mixture(self, fit, kappa, seed):
+        # the closed-form PMF term by term, then 2^16 draws in cells within
+        # acceptance 6's floor: the mean and 4 sd of the TVs of 200 exact
+        # multinomial samples of the cell masses
+        model = fit()
+        law, ref = MixingLaw(model, kappa), NbinomMixture(model, kappa)
+        ns = np.arange(1, 401)
+        np.testing.assert_allclose(law.pmf(ns), ref.pmf(ns), rtol=1e-10)
+        mass = -np.diff(np.append(ref.sf(EDGES - 1), 0.0))
+        draws = sample_k(law, np.random.default_rng(seed), size=2 ** 16)
+        freq = np.bincount(np.searchsorted(EDGES, draws, side="right") - 1,
+                           minlength=len(mass)) / len(draws)
+        floor, sd = _exact_tv_floor(mass, len(draws), draws=200, seed=[seed, 1])
+        assert _tv_table(freq, mass) < floor + 4.0 * sd
+
+    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e12])
+    def test_draws_at_large_kappa(self, kappa):
+        # no table to outgrow: the mean of 2^16 draws within 5 standard errors
+        law = MixingLaw(gamma_fit(), kappa)
+        k = sample_k(law, np.random.default_rng(4), size=2 ** 16)
+        se = math.sqrt((law.second_moment - law.mean ** 2) / len(k))
+        assert k.dtype == np.int64 and k.min() >= 1
+        assert abs(k.mean() - law.mean) < 5.0 * se
 
 
 def generator_state(rng):
@@ -329,38 +406,11 @@ class TestContinuousMixing:
         nu, kappa = 2.0, 150.0
         law = MixingLaw(_load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu), kappa)
         assert law.model.family == "levy"
-        ns = np.arange(1, len(law.pmf_table) + 1)
+        ns = np.arange(1, 4097)  # (150/151)^4096 < 1e-11
         p = 1.0 / (kappa + 1.0)
         geometric = p * (1.0 - p) ** (ns - 1)
-        tv = 0.5 * (np.abs(law.pmf_table - geometric).sum() + 1.0 - geometric.sum())
+        tv = 0.5 * (np.abs(law.pmf(ns) - geometric).sum() + 1.0 - geometric.sum())
         assert tv < 1e-5
-
-
-class TestCache:
-    def test_chunked_table_matches_one_block(self, tmp_path, monkeypatch):
-        # 1000 terms a chunk: a few orders at a time, several chunks per doubling
-        monkeypatch.setattr(mixing, "CACHE_CHUNK", 1000)
-        nu = 2.0
-        law = MixingLaw(_load_lst_table(finite_table(tmp_path / "lst.csv", nu), nu), 150.0)
-        pmf = np.exp(law._log_pmf_block(np.arange(1, len(law.pmf_table) + 1)))
-        assert len(pmf) == 4096 and 1000 // len(law.model.measure[0]) < 64
-        assert law.pmf_table.tobytes() == pmf.tobytes()
-        assert law.cdf_table.tobytes() == np.cumsum(pmf).tobytes()
-        assert law.mass == float(np.cumsum(pmf)[-1])
-
-    def test_memory_bounded_at_the_order_cap(self):
-        # h(w) = sqrt(w) to w = 5e4: the table runs to 262144 orders of 76
-        # components, 2e7 terms, without holding them at once
-        w = np.logspace(-4, 5, 400) / 2.0
-        model = fit_bernstein(w, np.sqrt(w))
-        tracemalloc.start()
-        try:
-            law = MixingLaw(model, 150.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(law.pmf_table) * len(model.measure[0]) >= mixing.CACHE_N_CAP
-        assert peak < 150e6
 
 
 class TestValidation:
@@ -370,11 +420,29 @@ class TestValidation:
 
     @pytest.mark.parametrize("kappa", [math.inf, math.nan])
     def test_rejects_nonfinite_kappa(self, kappa):
-        # a fitted model's PMF table at kappa = inf is NaN, and was sampled
-        # as clusters of size 1
+        # a fitted model's PMF at kappa = inf is NaN
         model = fit_bernstein(FIT_NODES, make_builtin_infinite()(FIT_NODES))
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             MixingLaw(model, kappa)
+
+    @pytest.mark.parametrize("model,below,above", [(make_builtin_finite(), 2.4e17, 2.6e17),
+                                                   (k_texture_fit(), 1e16, 1e19)],
+                             ids=["rational", "levy"])
+    def test_refuses_kappa_past_int64(self, model, below, above):
+        # P(K >= 2^63) passes 1e-16 near kappa = 2^63 / ln(1e16) = 2.5e17
+        # for the geometric law; rng.geometric saturated 40 % of its draws
+        # at 2^63 - 1 at kappa 1e19
+        MixingLaw(model, below)
+        message = f"kappa {above!r} is too large: K >= 2**63"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MixingLaw(model, above)
+
+    @pytest.mark.parametrize("model", [make_builtin_finite(), k_texture_fit()],
+                             ids=["rational", "levy"])
+    def test_refuses_kappa_with_overflowing_moments(self, model):
+        # kappa ** 2 raised OverflowError here
+        with pytest.raises(ValueError, match=r"kappa 1e\+300 is too large: E\[K\^2\] overflows"):
+            MixingLaw(model, 1e300)
 
     def test_refuses_model_neither_builtin_nor_fitted(self):
         bare = BernsteinModel(lambda z: z / (z + 1.0), h1=1.0, h2=-2.0, C=1.0)
@@ -382,3 +450,19 @@ class TestValidation:
             MixingLaw(bare, 9.0)
         with pytest.raises(ValueError, match="fit_bernstein"):
             sample_xi(bare, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("model", [make_builtin_finite(), make_builtin_infinite(),
+                                   fit_bernstein(np.logspace(-4, 5, 400) / 2.0,
+                                                 np.sqrt(np.logspace(-4, 5, 400) / 2.0))],
+                         ids=["rational", "logarithmic", "sqrt-fit"])
+def test_law_holds_no_table(model):
+    # a PMF table to mass 1 - 1e-10 took 336 MB for the log-series law at
+    # kappa 1e6
+    tracemalloc.start()
+    try:
+        MixingLaw(model, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
