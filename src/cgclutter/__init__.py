@@ -5,6 +5,9 @@ compound-Poisson process driven by a Bernstein function, composes it
 with correlated complex Gaussian speckle into clutter z(t) =
 sqrt(tau(t)) x(t), and validates every simulated law against its
 closed-form counterpart.
+
+Importing the package loads numpy and no scipy: scipy.special is imported
+by the closed forms that evaluate it, scipy.optimize by `fit_bernstein`.
 """
 
 from .bernstein import (

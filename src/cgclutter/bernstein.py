@@ -14,7 +14,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "BernsteinModel",
@@ -155,6 +154,8 @@ def from_lst(G_of_z: Callable, nu: float) -> BernsteinModel:
 def levy_log_moments(measure, n, z):
     """ln of int s^n e^(-zs) Pi(ds) for an array of orders n (ln |h^(n)(z)| if n >= 1),
     where Pi = (c, k, x) weights gamma densities of shape k and mean x by c."""
+    from scipy.special import gammaln, logsumexp
+
     c, k, x = measure
     theta = x / k
     n = np.asarray(n, dtype=float)[..., None]

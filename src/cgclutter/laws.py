@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chndtr, gammainc, gammaln, i0e, xlogy
 
 from .bernstein import BernsteinModel, LimitTransform
 from .bessel import scaled_i1
@@ -75,6 +74,8 @@ def k_texture_law(nu: float) -> TextureLaw:
         return out
 
     def cdf(tau):
+        from scipy.special import chndtr, i0e
+
         t = np.maximum(tau, 0.0)
         r = np.sqrt(t)
         vals = (chndtr(2.0 * nu * t, 2.0, 2.0 * nu)
@@ -91,12 +92,16 @@ def gamma_texture_law(nu: float) -> TextureLaw:
     scale = 1.0 / nu
 
     def pdf(tau):
+        from scipy.special import gammaln, xlogy
+
         # scipy.stats.gamma(a=nu, scale=scale).pdf, operation for operation
         y = np.maximum(tau, 0.0) / scale
         dens = np.exp(xlogy(nu - 1.0, y) - y - gammaln(nu)) / scale
         return np.where(tau >= 0, dens, 0.0)
 
     def cdf(tau):
+        from scipy.special import gammainc
+
         return gammainc(nu, nu * np.maximum(tau, 0.0))
 
     return TextureLaw("gamma", 0.0, _vectorized(pdf), _vectorized(cdf))
@@ -145,6 +150,8 @@ def negbin_pmf(nu: float, nbar: float, n) -> float | np.ndarray:
     """Negative binomial window-count PMF with shape nu and mean nbar."""
     if not (0 < nu < math.inf and 0 < nbar < math.inf):
         raise ValueError("nu and nbar must be positive and finite")
+    from scipy.special import gammaln
+
     return (
         gammaln(n + nu)
         - gammaln(nu)

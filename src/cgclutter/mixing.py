@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .bernstein import BernsteinModel, levy_log_moments
 
@@ -51,7 +50,14 @@ def _check_model(model: BernsteinModel, finite: bool = False):
 
 
 class MixingLaw:
-    """The discrete mixing variable K(kappa) for a builtin or fitted model."""
+    """The discrete mixing variable K(kappa) for a builtin or fitted model.
+
+    A fitted model is a compound Poisson of mass C: past the largest w it
+    was fitted at, its h saturates at C, and at such a kappa K follows the
+    fit, not the law the fit tabulates.  `from_lst` of the gamma law at
+    nu = 2 (nodes to w = 1e6) gives h(1e8) = 16.39 against
+    ln(1 + 1e8) = 18.42.  Such a kappa is accepted.
+    """
 
     def __init__(self, model: BernsteinModel, kappa: float):
         if not 0 < kappa < math.inf:
@@ -71,6 +77,8 @@ class MixingLaw:
         # P(K >= 2**63) is that of a component's gamma rate to a relative 1e-8;
         # below kappa = 1e16 the log-series law's is E1(2**63/kappa)/ln(kappa) ~ 0
         if model.family != "logarithmic":
+            from scipy.special import gammaincc
+
             c, k, theta, _ = self._components()
             with np.errstate(over="ignore"):  # 2**63/theta = inf: no tail at all
                 if c @ gammaincc(k, 2.0 ** 63 / theta) > 1e-16 * self.h_kappa:
@@ -97,6 +105,8 @@ class MixingLaw:
         elif self.model.family == "logarithmic":  # p^n/(n ln(1 + kappa)), p = kappa/(1 + kappa)
             log_p = -m * math.log1p(1.0 / self.kappa) - np.log(m * math.log1p(self.kappa))
         else:  # a mixture of zero-truncated negative binomials
+            from scipy.special import gammaln
+
             log_p = (m * math.log(self.kappa) - gammaln(m + 1.0) - math.log(self.h_kappa)
                      + levy_log_moments(self.model.measure, m, self.kappa))
         out = np.exp(log_p) * (ns >= 1.0)
@@ -169,6 +179,13 @@ def _logseries(rng: np.random.Generator, p: float, size=None):
     One buffer holds the block after a V carried from the last one; the
     slot after the block stands in for the U of a V that ends it, and
     such a V < p is carried into the next block.
+
+    The tests match numpy's draws for p <= 1 - 1e-9.  Near p = 1 the draws
+    are about 1/(1 - p), and np.log and the C sampler's libm log may differ
+    by an ulp: at p = 1 - 1e-15, under numpy's wide-SIMD np.log (AVX-512 on
+    a 2-vCPU Xeon, numpy 2.4), 104, 88 and 93 of 3e5 draws (seeds 1-3)
+    differed from numpy's, 284 of them one higher and one one lower; with
+    that dispatch off, none did.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p < 0, p >= 1 or p is NaN")
