@@ -6,8 +6,10 @@ with correlated complex Gaussian speckle into clutter z(t) =
 sqrt(tau(t)) x(t), and validates every simulated law against its
 closed-form counterpart.
 
-Importing the package loads numpy and no scipy: scipy.special is imported
-by the closed forms that evaluate it, scipy.optimize by `fit_bernstein`.
+Importing the package loads numpy and no scipy, and so does simulating a
+builtin model, texture, speckle and CSVs, from the library or by the CLI's
+`simulate`: scipy.special is imported by the closed forms that evaluate
+it, scipy.optimize by `fit_bernstein`.
 """
 
 from .bernstein import (

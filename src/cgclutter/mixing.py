@@ -74,16 +74,23 @@ class MixingLaw:
         self.second_moment = -self.kappa * self.kappa * model.h2 / self.h_kappa + self.mean
         if not math.isfinite(self.second_moment):
             raise ValueError(f"kappa {kappa!r} is too large: E[K^2] overflows")
-        # P(K >= 2**63) is that of a component's gamma rate to a relative 1e-8;
-        # below kappa = 1e16 the log-series law's is E1(2**63/kappa)/ln(kappa) ~ 0
-        if model.family != "logarithmic":
+        # P(K >= 2**63) is that of a component's gamma rate to a relative 1e-8,
+        # sum_j c_j Q(k_j, 2**63/theta_j); the geometric law's one component
+        # (c = k = 1, theta = kappa) is Q(1, y) = exp(-y), so it needs no scipy.
+        # Below kappa = 1e16 the log-series law's is E1(2**63/kappa)/ln(kappa) ~ 0
+        if model.family == "logarithmic":
+            tail = 0.0
+        elif model.family == "rational":
+            tail = math.exp(-2.0 ** 63 / self.kappa)
+        else:
             from scipy.special import gammaincc
 
             c, k, theta, _ = self._components()
             with np.errstate(over="ignore"):  # 2**63/theta = inf: no tail at all
-                if c @ gammaincc(k, 2.0 ** 63 / theta) > 1e-16 * self.h_kappa:
-                    raise ValueError(f"kappa {kappa!r} is too large: K >= 2**63, past "
-                                     "int64, has probability above 1e-16")
+                tail = c @ gammaincc(k, 2.0 ** 63 / theta)
+        if tail > 1e-16 * self.h_kappa:
+            raise ValueError(f"kappa {kappa!r} is too large: K >= 2**63, past "
+                             "int64, has probability above 1e-16")
 
     @property
     def _log_p(self) -> float:

@@ -145,6 +145,20 @@ class TestSimulate:
         assert code == 0
         assert "mode=finite-exact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("model,ks", [("infinite-gamma", "ks_vs_gamma  measured= 0.013418"),
+                                          ("finite-k", "ks_vs_k-texture  measured= 0.0134351")],
+                             ids=["infinite-gamma", "finite-k"])
+    def test_summary_leaves_ks_to_validate(self, model, ks, tmp_path, capsys):
+        # the summary evaluates no closed form; validate --suite marginal with
+        # the same flags draws the same path and prints its KS row and bound
+        flags = ["--model", model, "--nu", "2", "--seed", "9", "--duration", "2e4"]
+        assert run(["simulate", *flags, "--out", tmp_path / "sim"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0].split("=")[0] for line in lines] == [
+            "mode", "mean", "wrote", "wrote"]
+        assert run(["validate", *flags, "--suite", "marginal"]) == 0
+        assert capsys.readouterr().out == f"PASS  {ks}  expected= 0  tol=0.02\n"
+
 
 # `validate --suite all` rows after the marginal one, in print order; the
 # benchmark parses and pins these names
@@ -505,6 +519,21 @@ def test_unwritable_out_exit_2(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out) in err and os.strerror(errno.ENOTDIR) in err
     assert blocker.read_bytes() == b"" and list(tmp_path.iterdir()) == [blocker]
+
+
+OUTPUTS = ["texture.csv", "events.csv", "clutter.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("blocked", OUTPUTS)
+def test_blocked_output_file_exit_2(blocked, tmp_path, capsys):
+    # a directory stands where an output file goes: one line names its path
+    # and the OS error, and only the outputs written before it are there
+    out = tmp_path / "sim"
+    (out / blocked).mkdir(parents=True)
+    assert run(SIM + ["--events", "--clutter", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / blocked) in err and os.strerror(errno.EISDIR) in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS[:OUTPUTS.index(blocked) + 1])
 
 
 def test_closed_stdout_pipe_ends_quietly():

@@ -10,12 +10,6 @@ import pytest
 import cgclutter
 from cgclutter import bernstein, bessel, laws, mixing
 
-# scipy.signal alone pulls in scipy.stats, about a second of imports;
-# scipy.optimize loads only when a non-builtin model is fitted, and
-# scipy.special only when a closed form is evaluated
-HEAVY = ("scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.optimize",
-         "scipy.linalg")
-
 
 def run_fresh(code):
     """The last line code prints in a fresh interpreter."""
@@ -33,21 +27,23 @@ def scipy_loaded(code):
     return run_fresh(code).split()[1:]
 
 
-def heavy_loaded(code):
-    """The HEAVY modules loaded after code runs in a fresh interpreter."""
-    return [m for m in scipy_loaded(code) if m in HEAVY]
-
-
 def test_import_loads_no_scipy():
     assert scipy_loaded("import cgclutter, cgclutter.cli") == []
 
 
-def test_ar1_simulate_loads_no_heavy_scipy_subpackage(tmp_path):
-    # the AR(1) speckle recurrence is numpy alone
-    argv = ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "200",
-            "--clutter", "--speckle", "ar1", "--out", str(tmp_path / "sim")]
-    assert heavy_loaded(f"from cgclutter.cli import main\nassert main({argv!r}) == 0") == []
-    assert (tmp_path / "sim" / "clutter.csv").exists()
+@pytest.mark.parametrize("model,mode", [
+    ("finite-k", "finite-exact"), ("finite-k", "infinite-approx"),
+    ("finite-k", "discrete-windowed"), ("infinite-gamma", "infinite-approx"),
+    ("infinite-gamma", "discrete-windowed")])
+def test_builtin_simulate_loads_no_scipy(model, mode, tmp_path):
+    # the summary evaluates no closed form, the geometric law's int64 tail
+    # check is exp(-y), and the AR(1) speckle recurrence is numpy alone
+    out = tmp_path / "sim"
+    argv = ["simulate", "--model", model, "--mode", mode, "--nu", "2", "--duration", "200",
+            "--events", "--clutter", "--speckle", "ar1", "--out", str(out)]
+    assert scipy_loaded(f"from cgclutter.cli import main\nassert main({argv!r}) == 0") == []
+    assert sorted(p.name for p in out.iterdir()) == [
+        "clutter.csv", "events.csv", "manifest.json", "texture.csv"]
 
 
 def test_library_run_without_closed_forms_loads_no_scipy(tmp_path):

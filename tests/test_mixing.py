@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 from scipy.stats import nbinom
 
 from cgclutter import (
@@ -436,6 +436,20 @@ class TestValidation:
         message = f"kappa {above!r} is too large: K >= 2**63"
         with pytest.raises(ValueError, match=re.escape(message)):
             MixingLaw(model, above)
+
+    def test_geometric_tail_is_gammaincc_of_one(self):
+        # the geometric tail check evaluates exp(-2**63/kappa), which is
+        # gammaincc(1, 2**63/kappa), the fitted check's term at k = 1.  Below
+        # 1e-40, far under the 1e-16 it is judged against, scipy's value
+        # drifts up to 8e-14 from the exact one, which math.exp gives
+        kappa = np.logspace(16, 19, 3001)
+        y = 2.0 ** 63 / kappa
+        tail, scipy_tail = np.array([math.exp(-v) for v in y]), gammaincc(1.0, y)
+        judged = scipy_tail > 1e-40
+        assert judged.sum() > 1000
+        np.testing.assert_allclose(tail[judged], scipy_tail[judged], rtol=1e-14, atol=0.0)
+        h = kappa / (kappa + 1.0)
+        np.testing.assert_array_equal(tail > 1e-16 * h, scipy_tail > 1e-16 * h)
 
     @pytest.mark.parametrize("model", [make_builtin_finite(), k_texture_fit()],
                              ids=["rational", "levy"])
