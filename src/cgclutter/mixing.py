@@ -65,7 +65,7 @@ class MixingLaw:
         _check_model(model)
         self.model = model
         self.kappa = float(kappa)
-        if model.family == "logarithmic" and not self._log_p < 1.0:
+        if model.family == "logarithmic" and not self._logseries_p < 1.0:
             raise ValueError(f"kappa {kappa!r} is too large for the log-series law: "
                              "p = kappa/(1 + kappa) rounds to 1")
         self.h_kappa = model(kappa)
@@ -93,7 +93,7 @@ class MixingLaw:
                              "int64, has probability above 1e-16")
 
     @property
-    def _log_p(self) -> float:
+    def _logseries_p(self) -> float:
         return self.kappa / (1.0 + self.kappa)
 
     def _components(self):
@@ -138,7 +138,7 @@ def sample_k(law: MixingLaw, rng: np.random.Generator, size=None):
     if law.model.family == "rational":
         return rng.geometric(1.0 / (law.kappa + 1.0), size=size)
     if law.model.family == "logarithmic":
-        return _logseries(rng, law._log_p, size)
+        return _logseries(rng, law._logseries_p, size)
     c, k, theta, a = law._components()
     cdf = np.cumsum(c * a)
     j = np.searchsorted(cdf, rng.random(size) * cdf[-1])

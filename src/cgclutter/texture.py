@@ -74,6 +74,7 @@ class SimConfig:
             raise ValueError("nu = gamma * window must be positive and finite")
         if self.dt >= self.window:
             raise ValueError("dt must be smaller than the window length")
+        _grid_length(self.duration, self.dt)  # refuses a grid past 2**53 steps
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -278,8 +279,14 @@ def simulate(model: BernsteinModel, cfg: SimConfig,
 
 def _grid_length(duration: float, dt: float) -> int:
     """Number of grid points i*dt, i = 0 .. floor(duration/dt); the 1e-9
-    keeps a duration that is a whole number of steps from losing its end."""
-    return int(np.floor(duration / dt + 1e-9)) + 1
+    keeps a duration that is a whole number of steps from losing its end.
+    Past i = 2**53 consecutive i*dt are no longer distinct doubles, so a
+    longer grid is refused."""
+    last = np.floor(duration / dt + 1e-9)
+    if last > 2.0 ** 53:
+        raise ValueError(f"duration {duration:g} at dt {dt:g} needs a grid past "
+                         f"2**53 steps, where the grid times i*dt stop being distinct")
+    return int(last) + 1
 
 
 def sample_on_grid(path: TexturePath, dt: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cgclutter
-from cgclutter import cli
+from cgclutter import cli, texture
 from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
 
@@ -126,6 +126,17 @@ class TestSimulate:
         v = np.loadtxt(out / "events.csv", delimiter=",", skiprows=1, usecols=1)
         assert v.max() > 0 and np.all(v == np.floor(v))
 
+    def test_discrete_windowed_events_across_sweep_blocks(self, tmp_path):
+        # about 250k arrivals, so the window sweep crosses many SWEEP_BLOCKs
+        out = tmp_path / "dw"
+        assert run(["simulate", "--model", "infinite-gamma", "--nu", "2",
+                    "--mode", "discrete-windowed", "--duration", "2e5", "--dt", "1",
+                    "--events", "--out", out]) == 0
+        t, v = np.loadtxt(out / "events.csv", delimiter=",", skiprows=1, unpack=True)
+        # an arrival makes at most two change points: over ten blocks were swept
+        assert len(t) > 20 * texture.SWEEP_BLOCK
+        assert np.all(t[1:] > t[:-1]) and np.all(v >= 0) and np.all(v == np.floor(v))
+
     def test_arrival_budget_exit_1(self, tmp_path, capsys):
         # 2.5e9 expected arrivals against the 1e9 budget: refused before any draw
         out = tmp_path / "x"
@@ -177,6 +188,11 @@ class TestValidate:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_moments_suite_at_large_kappa(self, capsys):
+        # mean_k judges draws of the sampler simulate uses, so a large kappa passes
+        assert run(["validate", "--model", "infinite-gamma", "--nu", "2", "--kappa", "1e9",
+                    "--suite", "moments"]) == 0
 
     @pytest.mark.parametrize("nu", ["2", "10000"])
     def test_gaussian_limit_large_nu(self, nu, capsys):
@@ -412,6 +428,10 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
     # a custom-lst model has no marginal suite, whatever its table
     ["validate", "--model", "custom-lst", "--lst-file", "missing.csv", "--nu", "2",
      "--suite", "marginal"],
+    # a grid past 2**53 steps, whose sampling never ended
+    ["simulate", "--model", "finite-k", "--nu", "2", "--duration", "10", "--dt", "1e-300",
+     "--out", "x"],
+    ["validate", "--model", "finite-k", "--nu", "2", "--dt", "1e-300", "--suite", "all"],
 ], ids=["nu", "dt", "duration", "dt-over-T", "seed", "validate-nu", "sigma2",
         "rho", "kappa", "validate-kappa", "lawtable-nu", "nbar", "points", "p", "polya-nu",
         "n-max", "points-0", "x-max", "x-max-0", "sigma2-inf", "duration-inf",
@@ -419,7 +439,8 @@ def test_degenerate_lst_table_exit_3(text, message, tmp_path, capsys):
         "polya-nu-inf", "lawtable-no-nu", "no-nbar", "no-lst-file", "validate-no-lst-file",
         "validate-dt-over-T", "validate-duration", "gaussian-limit-dt", "nu-overflow",
         "validate-nu-overflow", "custom-lst-nu-overflow", "nu-underflow", "missing-lst-dt",
-        "sigma2-no-clutter", "rho-white", "custom-lst-marginal-missing"])
+        "sigma2-no-clutter", "rho-white", "custom-lst-marginal-missing", "dt-past-2-53",
+        "validate-dt-past-2-53"])
 def test_bad_flag_exit_2(argv, tmp_path, capsys, monkeypatch):
     # refused before anything is written, with one error line and no traceback
     monkeypatch.chdir(tmp_path)
@@ -469,6 +490,21 @@ class TestLawtable:
         rows = f.read_text().strip().split("\n")
         assert rows[0] == "x,pdf,cdf"
         assert len(rows) == 12
+
+    def test_long_polya_aeppli_table_heads_with_the_default(self, tmp_path):
+        # the recursion is O(n-max), and a longer table starts with the bytes
+        # of the default one (n-max 200)
+        default = tmp_path / "pa.csv"
+        assert run(["lawtable", "--law", "polya-aeppli", "--nu", "2", "--p", "0.1",
+                    "--out", default]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(cgclutter.__file__).parents[1]))
+        long = subprocess.run(
+            [sys.executable, "-m", "cgclutter.cli", "lawtable", "--law", "polya-aeppli",
+             "--nu", "2", "--p", "0.1", "--n-max", "100000"],
+            capture_output=True, env=env, timeout=60, check=True).stdout
+        rows = long.splitlines(keepends=True)
+        assert len(rows) == 100002
+        assert b"".join(rows[:202]) == default.read_bytes()
 
     def test_missing_parameter_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,12 @@ def test_simulate_outputs(model, tmp_path, capsys):
     assert main(["simulate", "--model", model, "--nu", "2", "--T", "8",
                  "--duration", "200", "--events", "--clutter", "--speckle", "ar1",
                  "--out", str(out)]) == 0
+    # texture.csv is clutter.csv's t and tau, bit for bit: the writer reuses
+    # the cell of a repeated tau, and one reused in the wrong row or column
+    # breaks this whatever bytes the pins hold
+    clutter = [row.split(b",") for row in (out / "clutter.csv").read_bytes().splitlines()]
+    assert (out / "texture.csv").read_bytes().splitlines() == [
+        b",".join((t, tau)) for t, _, _, tau in clutter]
     for name, digest in SIMULATE_PINS[model].items():
         assert sha256(out / name) == digest, name
     if model == "finite-k":

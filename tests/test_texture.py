@@ -66,6 +66,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="nu = gamma \\* window must be positive and finite"):
             SimConfig(gamma=gamma, window=window, duration=100.0, dt=dt, seed=1)
 
+    def test_refuses_a_grid_past_2_53_steps(self):
+        # past i = 2**53 the grid times i*dt are no longer distinct doubles;
+        # at dt 1e-300 ceil(c/dt) overflowed intp and sampling never ended
+        with pytest.raises(ValueError, match="duration 10 at dt 1e-300 needs a grid past 2\\*\\*53"):
+            SimConfig(gamma=0.25, window=8.0, duration=10.0, dt=1e-300, seed=1)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            SimConfig(gamma=0.25, window=8.0, duration=2.0 ** 54, dt=1.0, seed=1)
+        SimConfig(gamma=0.25, window=8.0, duration=2.0 ** 53, dt=1.0, seed=1)
+
 
 class TestPoissonArrivals:
     def test_count_and_range(self):
@@ -342,6 +351,11 @@ class TestSampleOnGrid:
     def test_grid_length(self):
         path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
         assert len(sample_on_grid(path, 0.1)) == 101
+
+    def test_refuses_a_grid_past_2_53_steps(self):
+        path = TexturePath(np.array([0.0]), np.array([1.0]), 10.0)
+        with pytest.raises(ValueError, match="duration 10 at dt 1e-300"):
+            sample_on_grid(path, 1e-300)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
     def test_rejects_nonpositive_dt(self, dt):
