@@ -6,10 +6,10 @@ byte-identical to ``f"{v:.17g}"``; integer columns below 2**53 print as
 formatted in blocks of about ``BLOCK_VALUES`` fields: with n usable CPUs
 the calling thread formats every n-th block and a pool of n - 1 threads
 the others, and the calling thread writes the blocks in order; with one
-usable CPU there is no pool.  At most one block more than there are CPUs
-is in flight, so the memory a write needs beyond its columns is bounded
-however long they are, and the bytes written do not depend on the number
-of CPUs.
+usable CPU the pool gets no block and starts no thread.  At most one block
+more than there are CPUs is in flight, so the memory a write needs beyond
+its columns is bounded however long they are, and the bytes written do not
+depend on the number of CPUs.
 
 Within a block, a run of bit-identical values in one column is formatted
 once and its cell repeated, so 0.0 and -0.0, and NaNs with different
@@ -356,8 +356,8 @@ def write_csv(f, header, *columns) -> None:
     # the calling thread formats every cpus-th block, and a pool of the
     # other CPUs formats the pool's blocks among the next cpus as each block
     # is written.  A pool per call: no thread outlives the write or is
-    # inherited by a fork; with one CPU there is none
-    pool = ThreadPoolExecutor(cpus - 1) if cpus > 1 else None
+    # inherited by a fork; it starts a thread only on a submit, none on one CPU
+    pool = ThreadPoolExecutor(max(cpus - 1, 1))
     try:
         queued = {}
         for i, start in enumerate(starts):
@@ -366,6 +366,5 @@ def write_csv(f, header, *columns) -> None:
                     queued[j] = pool.submit(_block, columns, starts[j], rows)
             f.write(queued.pop(i).result() if i % cpus else _block(columns, start, rows))
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     f.write(b"\n")

@@ -106,6 +106,8 @@ class TexturePath:
             raise ValueError("change_times must be strictly increasing")
         if not np.all(self.values >= 0):
             raise ValueError("texture values must be nonnegative")
+        if not 0 <= self.duration < np.inf:
+            raise ValueError(f"duration must be finite and nonnegative, got {self.duration!r}")
 
     def export_events_csv(self, path):
         with open(path, "wb") as f:
@@ -299,7 +301,7 @@ def sample_on_grid(path: TexturePath, dt: float) -> np.ndarray:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n = max(_grid_length(path.duration, dt), 0)
+    n = _grid_length(path.duration, dt)
     ct = path.change_times
     pos = np.clip(np.ceil(ct / dt), 0, n).astype(np.intp)
     # ceil(c/dt) can miss by a step where c/dt rounds; correct it against the

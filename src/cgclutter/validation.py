@@ -33,7 +33,7 @@ TAIL_LAG = 1.5
 
 
 class Check(NamedTuple):
-    """One oracle comparison; `tol` is the bound the verdict `ok` used."""
+    """One oracle comparison; `ok` is whether |measured - expected| <= tol."""
 
     name: str
     measured: float
@@ -42,9 +42,8 @@ class Check(NamedTuple):
     ok: bool
 
 
-def _check(name, measured, expected, tol, inclusive=False) -> Check:
-    dev = abs(measured - expected)
-    return Check(name, measured, expected, tol, bool(dev <= tol if inclusive else dev < tol))
+def _check(name, measured, expected, tol) -> Check:
+    return Check(name, measured, expected, tol, bool(abs(measured - expected) <= tol))
 
 
 def thin_to_independent(samples, window: float, dt: float):
@@ -83,20 +82,18 @@ def covariance_checks(samples, model, cfg) -> list:
     for frac in (0.0, 0.25, 0.5, 0.75):
         k = int(round(frac * cfg.window / cfg.dt))
         expected = texture_cov(cfg.nu, cfg.window, model.h2, k * cfg.dt)
-        rows.append(_check(f"autocov_lag_{frac:g}T", summ.autocov[k][1], expected,
-                           0.1 * lag0, inclusive=True))
+        rows.append(_check(f"autocov_lag_{frac:g}T", summ.autocov[k][1], expected, 0.1 * lag0))
     c = np.array([v for _, v in summ.autocov])
     se = math.sqrt((c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2)) / summ.n)
     k = tail_lag_steps(cfg)
-    rows.append(_check(f"autocov_lag_{TAIL_LAG:g}T", summ.autocov[k][1], 0.0, 3.0 * se,
-                       inclusive=True))
+    rows.append(_check(f"autocov_lag_{TAIL_LAG:g}T", summ.autocov[k][1], 0.0, 3.0 * se))
     return rows
 
 
 def moment_checks(model, nu: float) -> list:
     """G(0) = 1 exactly, unit mean, and E tau^2 - 1 = -h2/nu."""
     m0, m1, m2 = lst_moments(LimitTransform(model, nu))
-    return [_check("G_at_0", m0, 1.0, 0.0, inclusive=True),
+    return [_check("G_at_0", m0, 1.0, 0.0),
             _check("first_moment", m1, 1.0, 1e-6),
             _check("excess_second_moment", m2 - 1.0, -model.h2 / nu, 1e-4)]
 
@@ -111,8 +108,7 @@ def mixing_checks(model, kappa: float, seed: int) -> list:
                    pgf_k(law, u), 1e-8) for u in (0.25, 0.5, 0.9)]
     k = sample_k(law, np.random.default_rng([seed, 0x4B]), size=MEAN_K_DRAWS)
     se = math.sqrt(max(law.second_moment - law.mean ** 2, 0.0) / MEAN_K_DRAWS)
-    return rows + [_check("mean_k", float(np.mean(k, dtype=float)), law.mean, 5.0 * se,
-                          inclusive=True)]
+    return rows + [_check("mean_k", float(np.mean(k, dtype=float)), law.mean, 5.0 * se)]
 
 
 def gaussian_limit_checks(model) -> list:

@@ -122,7 +122,7 @@ def test_03_k_texture_marginal(finite_run, announce):
     mean_ok = abs(mean - 1.0) < 1e-6
     (ks,) = marginal_checks(tau, law, cfg)  # thinned to lag 8.1 > T
     ok = norm_ok and mean_ok and ks.ok
-    announce(3, ok, f"K-texture KS {ks.measured:.4f} < 0.02; law normalization/mean "
+    announce(3, ok, f"K-texture KS {ks.measured:.4f} <= 0.02; law normalization/mean "
                     f"within 1e-6 ({norm_ok}/{mean_ok})")
     assert ok
 
@@ -132,7 +132,7 @@ def test_04_gamma_marginal(infinite_run, announce):
     (ks,) = marginal_checks(tau, gamma_texture_law(cfg.nu), cfg)
     var = summarize(tau, cfg.dt, 0.0).variance
     ok = ks.ok and abs(var - 0.5) <= 0.05
-    announce(4, ok, f"gamma KS {ks.measured:.4f} < 0.02; variance {var:.4f} within 10% of 0.5")
+    announce(4, ok, f"gamma KS {ks.measured:.4f} <= 0.02; variance {var:.4f} within 10% of 0.5")
     assert ok
 
 
@@ -224,7 +224,7 @@ def test_08_gaussian_limit(announce):
     kurt = np.mean(re_z ** 4) / m2 ** 2 - 3.0
     kurt_ok = abs(kurt) < 0.1
     ok = sup_ok and kurt_ok
-    announce(8, ok, f"sup|G-e^-z| {max(r.measured for r in sups):.1e} < 1e-3; "
+    announce(8, ok, f"sup|G-e^-z| {max(r.measured for r in sups):.1e} <= 1e-3; "
                     f"excess kurtosis {kurt:.4f} < 0.1 at n=1e6")
     assert ok
 
@@ -237,7 +237,7 @@ def test_09_transform_moments(announce):
         ok &= g0.ok and first.ok and excess.ok
         worst = max(worst, abs(excess.measured - excess.expected))
     announce(9, ok, f"G(0)=1 exact, -G'(0)=1 within 1e-6, second-moment "
-                    f"identity dev {worst:.1e} < 1e-4")
+                    f"identity dev {worst:.1e} <= 1e-4")
     assert ok
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cgclutter
-from cgclutter import cli, texture
+from cgclutter import cli, texture, validation
 from cgclutter.bernstein import fit_transform
 from cgclutter.cli import main
 
@@ -200,6 +200,15 @@ class TestValidate:
         code = run(["validate", "--model", "infinite-gamma", "--nu", nu,
                     "--suite", "gaussian-limit"])
         assert code == 0
+
+    @pytest.mark.parametrize("d, verdict, code", [(1e-3, "PASS", 0),
+                                                  (math.nextafter(1e-3, 1), "FAIL", 4)])
+    def test_a_deviation_equal_to_its_bound_passes(self, d, verdict, code, monkeypatch, capsys):
+        # every row passes where |measured - expected| <= tol: sup_G_minus_exp has tol 1e-3
+        monkeypatch.setattr(validation, "gaussian_limit_distance", lambda *args: d)
+        assert run(["validate", "--model", "infinite-gamma", "--nu", "2",
+                    "--suite", "gaussian-limit"]) == code
+        assert capsys.readouterr().out.split()[:2] == [verdict, "sup_G_minus_exp"]
 
     def test_marginal_suite(self, capsys):
         code = run(["validate", "--model", "finite-k", "--nu", "2",

@@ -178,13 +178,16 @@ def test_one_cpu_formats_on_the_calling_thread(monkeypatch):
     columns = list(np.random.default_rng(5).standard_normal((2, n)) * [[1e-6], [1e9]])
     cpus(monkeypatch, 2)
     want = written(["a", "b"], columns)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was made on one CPU")
-
-    monkeypatch.setattr(_export, "_workers", lambda: 1)
-    monkeypatch.setattr(_export, "ThreadPoolExecutor", no_pool)
+    # the thread that formats each block, and how many threads run meanwhile
+    seen = []
+    block = _export._block
+    monkeypatch.setattr(_export, "_block", lambda *a: seen.append(
+        (threading.current_thread(), threading.active_count())) or block(*a))
+    cpus(monkeypatch, 1)
+    before = threading.active_count()
     assert written(["a", "b"], columns) == want
+    assert seen == [(threading.current_thread(), before)] * 4
+    assert threading.active_count() == before
 
 
 def test_unequal_columns_rejected():

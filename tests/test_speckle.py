@@ -24,7 +24,9 @@ from cgclutter.speckle import CUSTOM_ACF_MAX_N
 # before real ACFs were split), on OpenBLAS 0.3.31's x86-64 kernels, which
 # round the factor differently: SkylakeX on several threads and on one,
 # Haswell and Zen, Sandybridge, Nehalem, Prescott.  eigh runs at n = 64 (a
-# shifted Gaussian spectrum) and Cholesky at n = 65
+# shifted Gaussian spectrum) and Cholesky at n = 65.  The last n = 64 pin
+# is SkylakeX's with numpy's AVX-512 (X86_V4) kernels off, whose exp
+# rounds the ACF's lags otherwise
 COMPLEX_PINS = {
     64: (np.exp(-np.arange(60) ** 2 / 50.0) * np.exp(0.3j * np.arange(60)), {
         "e95894ed768ba66ba27b22d7e7ad23d7e0ce177a2732631bf79ebedcf282f6ce",
@@ -32,6 +34,7 @@ COMPLEX_PINS = {
         "44535e21bfaa7fa11a94c6aae8703abe40cec9c40e54269fa13b9c0988ab4e1a",
         "74b412316ccc2c65691515ffea1915efcb9fb4e2cfcb8d5cd5be0214a252b771",
         "9ce35597334a14f4e888ae07d949d573ca7182b9bd0ff8085761183691335bfc",
+        "fd324ba128ea8c2175da73a783b761880ad5d075fd56c65268ccd742d27be26a",
     }),
     65: (np.array([1.0, 0.4, 0.1]) * np.exp(0.3j * np.arange(3)), {
         "cab167e973bb8131a6c37e6a17955f52a3c82700500a18c809ffe40c2e3c769a",
@@ -246,6 +249,16 @@ class TestGenSpeckle:
         np.testing.assert_allclose(L @ L.T, C, rtol=0, atol=tol)
         np.testing.assert_allclose(2 * re, L @ L.T, rtol=0, atol=tol)
         np.testing.assert_allclose(2 * im, L @ L.T, rtol=0, atol=tol)
+        np.testing.assert_array_equal(cross, 0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 65])
+    def test_custom_acf_real_of_exactly_n_lags(self, n):
+        # one tone's ACF cut at n lags is positive semidefinite at n, but not
+        # at n + 1 with lag n zero: a draw of length n must not look past it
+        acf = np.cos(0.3 * np.arange(n))
+        re, im, cross = implied_covariance(acf, n)
+        np.testing.assert_allclose(2 * re, toeplitz_cov(acf, n), rtol=0, atol=1e-12 * n)
+        np.testing.assert_allclose(2 * im, toeplitz_cov(acf, n), rtol=0, atol=1e-12 * n)
         np.testing.assert_array_equal(cross, 0.0)
 
     def test_custom_acf_real_matches_zero_imaginary(self):

@@ -330,6 +330,15 @@ class TestTexturePath:
         with pytest.raises(ValueError, match="nonnegative"):
             TexturePath(np.array([0.0, 1.0, 3.0]), np.array([1.0, np.nan, 2.0]), 5.0)
 
+    @pytest.mark.parametrize("duration", [np.nan, -5.0, np.inf])
+    def test_rejects_a_nan_negative_or_infinite_duration(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            TexturePath(np.array([0.0]), np.array([1.0]), duration)
+
+    def test_zero_duration_is_one_grid_point(self):
+        path = TexturePath(np.array([0.0]), np.array([2.0]), 0.0)
+        np.testing.assert_array_equal(sample_on_grid(path, 0.5), [2.0])
+
 
 def search_every_grid_point(path, dt):
     """Reference: a binary search for each grid time i*dt."""
